@@ -143,9 +143,7 @@ def _load_config_args(path):
             if "=" not in line:
                 raise ConfigError(f"config line {line!r} is not key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            out.append(f"--{key.replace('_', '-')}")
-            if value.lower() != "true":
-                out.append(value)
+            out += [f"--{key.replace('_', '-')}", value]
     return out
 
 
@@ -264,7 +262,8 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _overlay_rows(spec, fit):
+def _overlay_rows(fit):
+    spec = fit.spectrum
     seg = fit.segmentation
     refine = {int(i): j for j, est in enumerate(fit.segments) for i in est.points}
     rows = []
@@ -301,10 +300,8 @@ def _cmd_fit(args) -> int:
     report["warnings"] = sorted({str(c.message) for c in caught})
     _write_json(args.out, report)
     if args.overlay:
-        grid = build_grid(path.n, path.delta, args.f_min, args.f_max, w)
-        spec = spectrum(path, w, grid, r=args.r)
         _write_csv(args.overlay, ["k", "f", "log_f", "Y", "segment", "role", "fit_ols", "fit_fgls"],
-                   _overlay_rows(spec, fit))
+                   _overlay_rows(fit))
     verdict = "accepted" if fit.accepted else f"not accepted up to K_max={args.k_max}"
     print(f"K={fit.k} {verdict}: T={fit.t_stat:.3f} dof={fit.dof} p={fit.p_value:.4f} -> {args.out}")
     return 0 if fit.accepted else 3

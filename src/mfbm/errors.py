@@ -18,7 +18,7 @@ class ResourceLimitError(MfbmError):
 
 
 class NumericError(MfbmError):
-    """A quadrature or linear-algebra step could not reach its target accuracy."""
+    """A numerical integral or linear-algebra step could not reach its target accuracy."""
 
 
 class AnalysisError(MfbmError):

@@ -24,15 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammainc, gammaincc
 
 from .changepoint import FrequencyGrid, Segmentation, build_grid, minimize_q, omega_hat, refine_points
 from .errors import AnalysisError, MfbmError, NumericError
 from .model import SampledPath
-from .wavelet import BandWavelet, WaveletSpectrum, k_const, spectrum
+from .wavelet import BandWavelet, WaveletSpectrum, _band_integral, k_const, spectrum
 
 __all__ = [
     "SegmentEstimate",
@@ -91,7 +89,11 @@ class SegmentEstimate:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of fitting a k-change model to one spectrum."""
+    """Outcome of fitting a k-change model to one spectrum.
+
+    `spectrum` is the WaveletSpectrum the model was fitted to; it is left out
+    of to_dict, repr and comparisons.
+    """
 
     k: int
     segmentation: Segmentation
@@ -105,6 +107,7 @@ class FitResult:
     level: float
     r: float
     sigma_convention: str
+    spectrum: WaveletSpectrum = field(repr=False, compare=False)
 
     def to_dict(self):
         return {
@@ -168,18 +171,6 @@ def ols_estimate(y: np.ndarray, grid: FrequencyGrid, points, w: BandWavelet) -> 
 
 # --- asymptotic covariance of the log-spectrum ------------------------------
 
-_GL16_NODES, _GL16_WEIGHTS = leggauss(16)
-
-
-def _gl_panels(lo: float, hi: float, n_panels: int):
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * _GL16_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL16_WEIGHTS[None, :]).ravel()
-    return nodes, weights
-
-
 def _sigma_entry(h: float, g_lo: float, g_hi: float, w: BandWavelet) -> float:
     """integral over the line of F(u)^2 du, where F is the inverse-Fourier-type
     transform of W(xi) = profile(xi/g_lo) profile(xi/g_hi) |xi|^(-2H-1)
@@ -194,93 +185,11 @@ def _sigma_entry(h: float, g_lo: float, g_hi: float, w: BandWavelet) -> float:
     xi_hi = w.beta * g_lo
     if xi_hi <= xi_lo:
         return 0.0
-    val, err = quad(
+    return 4.0 * np.pi * _band_integral(
         lambda xi: (w.profile_values(xi / g_lo) * w.profile_values(xi / g_hi)) ** 2
         * xi ** (-2.0 * (2.0 * h + 1.0)),
-        xi_lo, xi_hi, epsabs=0.0, epsrel=1e-11, limit=200,
+        xi_lo, xi_hi, f"covariance kernel at frequencies ({g_lo:.4g}, {g_hi:.4g})",
     )
-    if not np.isfinite(val) or (val > 0 and err > 1e-8 * val):
-        raise NumericError(
-            f"covariance kernel quadrature at frequencies ({g_lo:.4g}, {g_hi:.4g}) "
-            f"reached only {err:.2e} absolute error"
-        )
-    return 4.0 * np.pi * val
-
-
-def _sigma_entry_oscillatory(h: float, g_lo: float, g_hi: float, w: BandWavelet) -> float:
-    """Same integral computed the long way: the inner oscillatory transform on
-    Gauss-Legendre panels (at least 8 nodes per period of e^(-i u xi)), the
-    outer u-integral truncated where the modulus envelope falls below 1e-8 of
-    its u = 0 value and integrated at matching node density, doubling the
-    density until the value settles. Slow; kept as an independent check of
-    the Plancherel route.
-    """
-    xi_lo = w.alpha * g_hi
-    xi_hi = w.beta * g_lo
-    if xi_hi <= xi_lo:
-        return 0.0
-
-    def weight_fn(xi):
-        return (w.profile_values(xi / g_lo) * w.profile_values(xi / g_hi)
-                * xi ** (-2.0 * h - 1.0))
-
-    # envelope scan for the truncation point; the xi-rule is re-densified with
-    # the scanned u-range so the phase e^(-i u xi) stays resolved
-    width = xi_hi - xi_lo
-    du = 0.25 * (2.0 * np.pi) / width
-    u_max = None
-    u_hi = 32.0 / width
-    f0 = None
-    while u_max is None:
-        n_env = max(64, int(np.ceil(8.0 * width * u_hi / (2.0 * np.pi))))
-        xi_env, wt_env = _gl_panels(xi_lo, xi_hi, max(1, -(-n_env // 16)))
-        wf_env = weight_fn(xi_env) * wt_env
-        f0 = float(np.sum(wf_env))
-        if f0 <= 0.0:
-            return 0.0
-        us = np.arange(0.0, u_hi, du)
-        env = np.empty(us.size)
-        chunk = max(1, int(4e6) // xi_env.size)
-        for i in range(0, us.size, chunk):
-            env[i : i + chunk] = np.abs(np.exp(-1j * np.outer(us[i : i + chunk], xi_env)) @ wf_env)
-        quiet = env < 1e-8 * f0
-        if np.all(quiet[us > 0.5 * u_hi]):
-            over = us[~quiet]
-            u_max = float(over[-1]) + 2.0 * du if over.size else 2.0 * du
-        else:
-            u_hi *= 2.0
-            if u_hi * xi_hi > 5e7:
-                raise NumericError(
-                    f"covariance kernel at frequencies ({g_lo:.4g}, {g_hi:.4g}) decays too slowly"
-                )
-
-    # inner xi-rule dense enough for the fastest phase e^(-i u_max xi)
-    n_xi = max(n_env, int(np.ceil(8.0 * width * u_max / (2.0 * np.pi))))
-    xi_nodes, xi_wts = _gl_panels(xi_lo, xi_hi, max(1, int(np.ceil(n_xi / 16))))
-    wf = weight_fn(xi_nodes) * xi_wts
-
-    def outer(density):
-        n_u = max(64, int(np.ceil(density * u_max * xi_hi / np.pi)))
-        u_nodes, u_wts = _gl_panels(0.0, u_max, max(1, int(np.ceil(n_u / 16))))
-        total = 0.0
-        chunk = max(1, int(4e6) // xi_nodes.size)
-        for i in range(0, u_nodes.size, chunk):
-            block = u_nodes[i : i + chunk]
-            f_vals = 2.0 * (np.cos(np.outer(block, xi_nodes)) @ wf)
-            total += float(u_wts[i : i + chunk] @ (f_vals * f_vals))
-        return 2.0 * total  # even in u
-
-    val = outer(8.0)
-    refined = outer(12.0)
-    if abs(refined - val) > 1e-6 * max(abs(refined), 1e-300):
-        val = refined
-        refined = outer(24.0)
-        if abs(refined - val) > 1e-5 * max(abs(refined), 1e-300):
-            raise NumericError(
-                f"u-quadrature for the covariance kernel did not settle "
-                f"(last refinement moved the value by {abs(refined - val):.2e})"
-            )
-    return refined
 
 
 def sigma_matrix(hurst: float, freqs, w: BandWavelet, r: float,
@@ -425,13 +334,13 @@ def fit_fixed_k(spec: WaveletSpectrum, w: BandWavelet, k: int, m: int = 5,
         k=k, segmentation=seg, omegas=omegas, segments=tuple(fgls_list),
         segments_ols=tuple(ols_list), t_stat=float(t_stat), dof=dof,
         p_value=p, accepted=p >= level, level=level, r=spec.r,
-        sigma_convention=sigma_convention,
+        sigma_convention=sigma_convention, spectrum=spec,
     )
 
 
 def select_k(path: SampledPath, w: BandWavelet, f_min: float, f_max: float,
              m: int = 5, r: float = 0.1, level: float = 0.05, k_max: int = 2,
-             sigma_convention: str = "limit", engine: str = "czt") -> FitResult:
+             sigma_convention: str = "limit") -> FitResult:
     """Recursive model-order selection: fit k = 0, 1, ... and stop at the first
     k whose goodness-of-fit test accepts at the given level.
 
@@ -441,7 +350,7 @@ def select_k(path: SampledPath, w: BandWavelet, f_min: float, f_max: float,
         raise ValueError("k_max must be nonnegative")
     grid = build_grid(path.n, path.delta, f_min, f_max, w)
     try:
-        spec = spectrum(path, w, grid, r=r, engine=engine)
+        spec = spectrum(path, w, grid, r=r)
     except MfbmError as e:
         raise type(e)(f"[spectrum] {e}") from e
     result = None

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from mfbm.cli import main
+import mfbm.cli as cli
+import mfbm.inference as inference
+from mfbm.cli import _load_config_args, main
 
 
 def run(argv):
@@ -138,6 +140,31 @@ class TestFit:
                   "--out", out])
         assert rc in (0, 3)
         assert json.loads(out.read_text())["config"]["level"] == 0.2
+
+    def test_config_value_true_is_a_value(self, sim_path, tmp_path):
+        cfg = tmp_path / "flag.cfg"
+        cfg.write_text("overlay = true\n")
+        assert _load_config_args(cfg) == ["--overlay", "true"]
+        overlay = tmp_path / "ov.csv"
+        cfg.write_text(f"f_min = 0.5\nf_max = 16\noverlay = {overlay}\n")
+        rc = run(["fit", "--config", cfg, "--input", sim_path, "--out", tmp_path / "fit.json"])
+        assert rc == 0
+        assert overlay.read_text().splitlines()[0] == "k,f,log_f,Y,segment,role,fit_ols,fit_fgls"
+
+    def test_overlay_reuses_the_fitted_spectrum(self, sim_path, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return spectrum(*args, **kwargs)
+
+        spectrum = inference.spectrum
+        monkeypatch.setattr(inference, "spectrum", counted)
+        monkeypatch.setattr(cli, "spectrum", counted)
+        rc = run(["fit", "--input", sim_path, "--f-min", "0.5", "--f-max", "16",
+                  "--out", tmp_path / "fit.json", "--overlay", tmp_path / "ov.csv"])
+        assert rc == 0
+        assert len(calls) == 1
 
 
 class TestMontecarlo:

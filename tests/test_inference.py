@@ -21,7 +21,9 @@ from mfbm import (
 )
 from mfbm import test_statistic as t_k_statistic
 from mfbm.errors import DegeneratePathError
-from mfbm.inference import H_CLAMP, _sigma_entry, _sigma_entry_oscillatory, chi2_cdf
+from mfbm.inference import H_CLAMP, _sigma_entry, chi2_cdf
+
+from oracles import sigma_entry_oscillatory
 
 
 class TestChi2:
@@ -94,7 +96,7 @@ class TestSigmaMatrix:
         # same integral through the truncated oscillatory double quadrature
         for h, glo, ghi in ((0.6, 1.0, 1.0), (0.3, 0.8, 1.1)):
             a = _sigma_entry(h, glo, ghi, bump)
-            b = _sigma_entry_oscillatory(h, glo, ghi, bump)
+            b = sigma_entry_oscillatory(h, glo, ghi, bump)
             assert a == pytest.approx(b, rel=1e-6)
 
     def test_against_brute_force_double_trapezoid(self, bump):
@@ -254,6 +256,9 @@ class TestSelection:
                           "accepted", "sigma_convention"}
         assert d["segments"][0]["flavor"] == "fgls"
         assert d["r"] == 0.1
+        # the fitted spectrum rides along but stays out of the report and repr
+        assert fit.spectrum.y.size == fit.spectrum.grid.f.size
+        assert "spectrum" not in d and "spectrum=" not in repr(fit)
 
     def test_lambda_covariances_reported(self, bump, fbm06_paths):
         """Both line-estimator covariances ship with the fit, and the

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from mfbm import ModelSpec, SampledPath, build_grid, empirical_coeff, k_const, psi_hat, psi_time, spectrum, theoretical_variance
-from mfbm.errors import DegeneratePathError
+from mfbm.errors import DegeneratePathError, NumericError
 from mfbm.wavelet import BandWavelet
 
 FIG3 = ModelSpec(hurst=(0.9, 0.2, 0.5), sigma=(5.0, 5.0, 5.0), omega=(0.05, 0.5))
@@ -108,6 +108,19 @@ class TestKConst:
     def test_domain(self, bump):
         with pytest.raises(ValueError):
             k_const(bump, 1.0)
+
+    def test_profile_with_a_jump_rejected(self):
+        """The fixed band rule checks itself at half resolution; a profile that
+        jumps inside the band fails that check (and has no finite decay reach)."""
+        step = BandWavelet.from_profile(
+            lambda x: np.where((x >= 1.0) & (x < 1.37), 1.0,
+                               np.where((x >= 1.37) & (x <= 2.0), 0.5, 0.0)),
+            1.0, 2.0,
+        )
+        with pytest.raises(NumericError, match="normalizing constant"):
+            k_const(step, 0.5)
+        with pytest.raises(NumericError):
+            step.decay_reach()
 
 
 class TestTheoreticalVariance:
