@@ -44,14 +44,12 @@ from .model import (
     variogram_asymptotes,
     variogram_constant,
 )
-from .simulate import PathSampler, SimConfig, gaussian_vector, simulate_path, uniform_stream
+from .simulate import PathSampler, uniform_stream
 from .wavelet import (
     BandWavelet,
     WaveletSpectrum,
-    empirical_coeff,
     k_const,
     psi_hat,
-    psi_time,
     spectrum,
     theoretical_variance,
 )

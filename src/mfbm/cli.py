@@ -56,7 +56,9 @@ def _add_wavelet_flags(p):
     p.add_argument("--beta", type=float, default=DEFAULTS["beta"],
                    help="upper band edge for bump/table wavelets (default 10)")
     p.add_argument("--wavelet-table", default=None,
-                   help="two-column text file (xi, profile) for --wavelet table")
+                   help="two-column text file (xi, profile) for --wavelet table; the "
+                        "profile is linearly interpolated, so it needs on the order of 1e5 "
+                        "rows across the band; sparse tables fail with a numeric error")
 
 
 def _add_band_flags(p):

@@ -179,8 +179,6 @@ def run_study(study: ReplicationStudy, workers: int = 1) -> StudyResult:
     """
     w = study.wavelet()
     study.model.check_analysis_band(w.alpha, w.beta, study.f_min, study.f_max)
-    if study.wavelet_kind not in ("bump", "meyer-shifted") and workers > 1:
-        raise ConfigError("custom wavelets cannot be shipped to worker processes; use workers=1")
     sampler = PathSampler(study.model, study.n, study.delta)
     jobs = [(sampler.draw(study.seed, stream=rep).values, study, rep)
             for rep in range(study.replications)]

@@ -9,18 +9,13 @@ of a Monte Carlo run always uses stream r regardless of scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ResourceLimitError, SimulationError
 from .model import ModelSpec, SampledPath, variogram
 
 __all__ = [
-    "SimConfig",
     "PathSampler",
-    "simulate_path",
-    "gaussian_vector",
     "standard_normals",
     "uniform_stream",
 ]
@@ -28,28 +23,6 @@ __all__ = [
 DEFAULT_MAX_N = 8192
 
 _JITTER_LADDER = (0.0, 1e-12, 1e-10)  # relative to trace/n
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Everything needed to draw one path: model, grid, and reproducibility seed."""
-
-    model: ModelSpec
-    n: int
-    delta: float
-    seed: int = 0
-    max_n: int = DEFAULT_MAX_N
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least two samples")
-        if not self.delta > 0:
-            raise ValueError("sampling step must be positive")
-        if self.n > self.max_n:
-            raise ResourceLimitError(
-                f"n = {self.n} exceeds the factorization cap {self.max_n}; "
-                "raise max_n explicitly if you really want an n x n Cholesky"
-            )
 
 
 def uniform_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -125,17 +98,6 @@ def _cholesky_with_jitter(cov: np.ndarray):
     )
 
 
-def gaussian_vector(cov: np.ndarray, seed: int, stream: int = 0) -> np.ndarray:
-    """One draw of a centered Gaussian vector with the given covariance."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("covariance must be a square matrix")
-    if not np.allclose(cov, cov.T, rtol=1e-10, atol=0.0):
-        raise ValueError("covariance must be symmetric")
-    lower = _cholesky_with_jitter(cov)
-    return lower @ standard_normals(cov.shape[0], seed, stream)
-
-
 class PathSampler:
     """Factor the path covariance once, then draw many replications cheaply.
 
@@ -144,9 +106,15 @@ class PathSampler:
     """
 
     def __init__(self, model: ModelSpec, n: int, delta: float, max_n: int = DEFAULT_MAX_N):
+        if n < 2:
+            raise ValueError("need at least two samples")
+        if not delta > 0:
+            raise ValueError("sampling step must be positive")
         if n > max_n:
             raise ResourceLimitError(
-                f"n = {n} exceeds the factorization cap {max_n}; raise max_n to override"
+                f"n = {n} exceeds the cap {max_n} on the n x n Cholesky factorization "
+                "of the path covariance; PathSampler(max_n=...) or mfbm simulate --max-n "
+                "raise it"
             )
         self.model = model
         self.n = int(n)
@@ -159,9 +127,3 @@ class PathSampler:
     def draw(self, seed: int, stream: int = 0) -> SampledPath:
         z = standard_normals(self.n, seed, stream)
         return SampledPath(delta=self.delta, values=self._lower @ z)
-
-
-def simulate_path(cfg: SimConfig, stream: int = 0) -> SampledPath:
-    """Draw one path for the given configuration (deterministic in (seed, stream))."""
-    sampler = PathSampler(cfg.model, cfg.n, cfg.delta, max_n=cfg.max_n)
-    return sampler.draw(cfg.seed, stream)

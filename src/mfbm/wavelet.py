@@ -6,13 +6,13 @@ variance of its coefficients at scale a is an exact power law in a inside
 a single spectral regime; that identity is what the whole estimation
 pipeline regresses on.
 
-Time-domain evaluation uses a precomputed table (psi is the cosine
-transform of the profile, sampled finely and interpolated cubically).
-The spectrum engine evaluates the same Riemann sums through a chirp-z
-transform: sampling the Fourier profile on a uniform grid of spacing
-d_xi makes the effective time-domain kernel the 2*pi/d_xi-periodization
-of psi, so choosing d_xi small enough keeps the wrap-around images below
-the same tail tolerance the table uses, at a small fraction of the cost.
+The spectrum is computed from the coefficients' Riemann sums
+(delta / sqrt(a)) * sum_p psi(p delta / a - k delta) X(p delta) through a
+chirp-z transform: sampling the Fourier profile on a uniform grid of
+spacing d_xi makes the effective time-domain kernel the
+2*pi/d_xi-periodization of psi, so choosing d_xi small enough keeps the
+wrap-around images below the tail tolerance that defines the wavelet's
+decay reach.
 """
 
 from __future__ import annotations
@@ -32,16 +32,13 @@ __all__ = [
     "BandWavelet",
     "WaveletSpectrum",
     "psi_hat",
-    "psi_time",
     "k_const",
     "theoretical_variance",
-    "empirical_coeff",
     "spectrum",
 ]
 
 _TAIL_TOL = 1e-10
 _REACH_CAP = 8192.0
-_TABLE_NODES_PER_PERIOD = 64
 
 # Band integrals: a fixed composite Gauss-Legendre rule, checked against the
 # same rule on fewer panels. Both rules' nodes on [0, 1] are precomputed and
@@ -111,8 +108,6 @@ class BandWavelet:
         self._lock = threading.Lock()
         self._psi0 = None
         self._reach = None
-        self._table = None
-        self._table_step = None
 
     # -- constructors -------------------------------------------------------
 
@@ -155,7 +150,11 @@ class BandWavelet:
         """Tabulated profile; sample abscissae must lie strictly inside (alpha, beta).
 
         The profile is linearly interpolated and pinned to zero at both band
-        edges.
+        edges, so it has a kink at every sample and psi decays only like 1/t^2
+        in time. The table must be dense: with the bump on [1, 2] sampled
+        uniformly, 1,000 samples fail the band rule at psi(0), 20,000 fail
+        decay_reach (NumericError), 50,000 give a reach 2.5 times too long,
+        and 100,000 reproduce the analytic reach and K_H to 3e-10 relative.
         """
         xi = np.asarray(xi, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -210,7 +209,7 @@ class BandWavelet:
                 self._psi0 = val / np.pi
         return self._psi0
 
-    # -- time-domain machinery ----------------------------------------------
+    # -- time-domain reach --------------------------------------------------
 
     def _fourier_sum(self, ts, guard):
         """(1/pi) * integral of profile * exp(-i t xi), anti-aliased out to guard.
@@ -261,57 +260,10 @@ class BandWavelet:
             self._reach = reach
         return reach
 
-    def build_table(self, step: float | None = None) -> None:
-        """Precompute psi on a uniform grid out to the decay reach."""
-        default = 2.0 * np.pi / (_TABLE_NODES_PER_PERIOD * self.beta)
-        step = default if step is None else min(step, default)
-        if self._table is not None and self._table_step <= step:
-            return
-        reach = self.decay_reach()
-        ts = np.arange(0.0, reach + 4.0 * step, step)
-        vals = np.real(self._fourier_sum(ts, guard=ts[-1] + reach + 64.0))
-        with self._lock:
-            self._table = vals
-            self._table_step = step
-
-    def psi_time(self, t):
-        """psi(t), from the table with cubic interpolation; zero beyond the reach."""
-        if self._table is None:
-            self.build_table()
-        x = np.abs(np.asarray(t, dtype=float))
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        table, h = self._table, self._table_step
-        out = np.zeros_like(x)
-        inside = x < (table.size - 2) * h
-        xi = x[inside] / h
-        i = xi.astype(np.int64)
-        u = xi - i
-        # Catmull-Rom weights on the uniform grid, even extension at t = 0
-        im1 = np.abs(i - 1)
-        y0 = table[im1]
-        y1 = table[i]
-        y2 = table[i + 1]
-        y3 = table[np.minimum(i + 2, table.size - 1)]
-        u2 = u * u
-        u3 = u2 * u
-        out[inside] = (
-            y0 * (-0.5 * u + u2 - 0.5 * u3)
-            + y1 * (1.0 - 2.5 * u2 + 1.5 * u3)
-            + y2 * (0.5 * u + 2.0 * u2 - 1.5 * u3)
-            + y3 * (-0.5 * u2 + 0.5 * u3)
-        )
-        return float(out[0]) if scalar else out
-
 
 def psi_hat(w: BandWavelet, xi):
     """Fourier profile of the wavelet at xi (even, zero outside the band)."""
     return w.profile_values(xi)
-
-
-def psi_time(w: BandWavelet, t):
-    """Time-domain wavelet value psi(t)."""
-    return w.psi_time(t)
 
 
 def k_const(w: BandWavelet, hurst: float) -> float:
@@ -345,33 +297,6 @@ def theoretical_variance(model: ModelSpec, w: BandWavelet, a: float) -> float:
     return total
 
 
-def empirical_coeff(path: SampledPath, w: BandWavelet, a: float, k: int) -> float:
-    """Riemann-sum wavelet coefficient at scale a and shift index k:
-    (delta / sqrt(a)) * sum_p psi(p delta / a - k delta) X(p delta).
-
-    The sum is restricted to the samples where the tabulated psi is nonzero.
-    Sample p = 0 carries X(0) = 0 and never contributes.
-    """
-    if not a > 0:
-        raise ValueError("scale must be positive")
-    if k < 0:
-        raise ValueError("shift index must be nonnegative")
-    delta = path.delta
-    n = path.n
-    reach = w.decay_reach()
-    # |p delta / a - k delta| <= reach  <=>  |p - a k| <= a * reach / delta
-    center = a * k
-    half = a * reach / delta
-    p_lo = max(1, int(np.ceil(center - half)))
-    p_hi = min(n - 1, int(np.floor(center + half)))
-    if p_hi < p_lo:
-        return 0.0
-    p = np.arange(p_lo, p_hi + 1)
-    args = (p * delta) / a - k * delta
-    weights = w.psi_time(args)
-    return float(delta / np.sqrt(a) * (weights @ path.values[p - 1]))
-
-
 @dataclass(frozen=True)
 class WaveletSpectrum:
     """Log empirical wavelet variances on a frequency grid."""
@@ -397,9 +322,10 @@ def _scale_coeffs_czt(path: SampledPath, w: BandWavelet, a: float, m0: int, m1: 
                       reach: float) -> np.ndarray:
     """All coefficients e(a, k delta), k = m0..m1, via two chirp-z transforms.
 
-    Equivalent to the windowed table sum: the profile is sampled on a grid
-    fine enough that the periodized kernel's images stay below the table's
-    tail tolerance over every argument the sum visits.
+    Equivalent to the time-domain Riemann sum over |p delta / a - k delta| <=
+    reach: the profile is sampled on a grid fine enough that the periodized
+    kernel's images stay below the reach's tail tolerance over every argument
+    the sum visits.
     """
     delta = path.delta
     n = path.n
@@ -426,19 +352,15 @@ def _scale_coeffs_czt(path: SampledPath, w: BandWavelet, a: float, m0: int, m1: 
     return e
 
 
-def spectrum(path: SampledPath, w: BandWavelet, grid: FrequencyGrid, r: float = 0.1,
-             engine: str = "czt") -> WaveletSpectrum:
+def spectrum(path: SampledPath, w: BandWavelet, grid: FrequencyGrid,
+             r: float = 0.1) -> WaveletSpectrum:
     """Log empirical wavelet variance at every grid frequency.
 
     At each f the coefficients e(1/f, k delta) are averaged over the retained
     shift range (trimming fraction r on both sides) and the log is taken.
-    engine="direct" recomputes every coefficient through the time-domain
-    table; it is the slow reference for the default chirp-z engine.
     """
     if not 0.0 < r < 1.0 / 3.0:
         raise ValueError("trimming fraction must lie in (0, 1/3)")
-    if engine not in ("czt", "direct"):
-        raise ValueError(f"unknown engine {engine!r}")
     n = path.n
     reach = w.decay_reach()
     y = np.empty(grid.f.size)
@@ -451,10 +373,7 @@ def spectrum(path: SampledPath, w: BandWavelet, grid: FrequencyGrid, r: float = 
                 f"no usable shifts at frequency {f:.6g} (scale {a:.6g}); "
                 f"need n * f_min / beta >= 10, got {n * grid.f_min / grid.beta:.3g}"
             )
-        if engine == "czt":
-            e = _scale_coeffs_czt(path, w, a, m0, m1, reach)
-        else:
-            e = np.array([empirical_coeff(path, w, a, k) for k in range(m0, m1 + 1)])
+        e = _scale_coeffs_czt(path, w, a, m0, m1, reach)
         j = float(np.mean(e * e))
         counts[i] = m1 - m0 + 1
         if not np.isfinite(j) or j <= 0.0:

@@ -1,19 +1,27 @@
-"""Slow reference implementations of the library's band integrals.
+"""Slow reference implementations of what the library computes fast.
 
 The library evaluates every wavelet band integral with one fixed
 Gauss-Legendre rule (mfbm.wavelet._band_integral). The functions here
 compute the same quantities independently: adaptive scipy quadrature with
 tight tolerances for psi(0), the normalizing constant K_H, the wavelet
 variance and the covariance kernel entries, and the covariance kernel once
-more through its oscillatory double integral (no Plancherel step). Tests
-compare the library against them.
+more through its oscillatory double integral (no Plancherel step).
+
+The library's spectrum evaluates the coefficient sums through chirp-z
+transforms (mfbm.wavelet.spectrum). The literal route is here: psi tabulated
+in the time domain and interpolated cubically, every coefficient summed
+over the samples where psi is nonzero, and the log-variance spectrum built
+from those sums. Tests compare the library against them.
 """
+
+import functools
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from mfbm.errors import NumericError
+from mfbm.errors import AnalysisError, DegeneratePathError, NumericError
+from mfbm.wavelet import WaveletSpectrum, _shift_range
 
 
 def _quad(fn, lo, hi):
@@ -149,3 +157,98 @@ def sigma_entry_oscillatory(h, g_lo, g_hi, w):
                 f"(last refinement moved the value by {abs(refined - val):.2e})"
             )
     return refined
+
+
+_TABLE_NODES_PER_PERIOD = 64
+
+
+@functools.cache
+def build_table(w):
+    """psi on a uniform grid from t = 0 out to the decay reach, as (values, step).
+
+    Built once per wavelet object (the bump on [5, 10] takes several seconds).
+    """
+    step = 2.0 * np.pi / (_TABLE_NODES_PER_PERIOD * w.beta)
+    reach = w.decay_reach()
+    ts = np.arange(0.0, reach + 4.0 * step, step)
+    return np.real(w._fourier_sum(ts, guard=ts[-1] + reach + 64.0)), step
+
+
+def psi_time(w, t):
+    """psi(t), from the table with cubic interpolation; zero beyond the reach."""
+    table, h = build_table(w)
+    x = np.abs(np.asarray(t, dtype=float))
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    out = np.zeros_like(x)
+    inside = x < (table.size - 2) * h
+    xi = x[inside] / h
+    i = xi.astype(np.int64)
+    u = xi - i
+    # Catmull-Rom weights on the uniform grid, even extension at t = 0
+    y0 = table[np.abs(i - 1)]
+    y1 = table[i]
+    y2 = table[i + 1]
+    y3 = table[np.minimum(i + 2, table.size - 1)]
+    u2 = u * u
+    u3 = u2 * u
+    out[inside] = (
+        y0 * (-0.5 * u + u2 - 0.5 * u3)
+        + y1 * (1.0 - 2.5 * u2 + 1.5 * u3)
+        + y2 * (0.5 * u + 2.0 * u2 - 1.5 * u3)
+        + y3 * (-0.5 * u2 + 0.5 * u3)
+    )
+    return float(out[0]) if scalar else out
+
+
+def empirical_coeff(path, w, a, k):
+    """Riemann-sum wavelet coefficient at scale a and shift index k:
+    (delta / sqrt(a)) * sum_p psi(p delta / a - k delta) X(p delta).
+
+    The sum is restricted to the samples where the tabulated psi is nonzero.
+    Sample p = 0 carries X(0) = 0 and never contributes.
+    """
+    if not a > 0:
+        raise ValueError("scale must be positive")
+    if k < 0:
+        raise ValueError("shift index must be nonnegative")
+    delta = path.delta
+    n = path.n
+    reach = w.decay_reach()
+    # |p delta / a - k delta| <= reach  <=>  |p - a k| <= a * reach / delta
+    center = a * k
+    half = a * reach / delta
+    p_lo = max(1, int(np.ceil(center - half)))
+    p_hi = min(n - 1, int(np.floor(center + half)))
+    if p_hi < p_lo:
+        return 0.0
+    p = np.arange(p_lo, p_hi + 1)
+    args = (p * delta) / a - k * delta
+    weights = psi_time(w, args)
+    return float(delta / np.sqrt(a) * (weights @ path.values[p - 1]))
+
+
+def direct_spectrum(path, w, grid, r=0.1):
+    """mfbm.wavelet.spectrum with every coefficient summed in the time domain."""
+    if not 0.0 < r < 1.0 / 3.0:
+        raise ValueError("trimming fraction must lie in (0, 1/3)")
+    n = path.n
+    y = np.empty(grid.f.size)
+    counts = np.empty(grid.f.size, dtype=int)
+    for i, f in enumerate(grid.f):
+        a = 1.0 / f
+        m0, m1 = _shift_range(n, a, r)
+        if m1 < m0:
+            raise AnalysisError(
+                f"no usable shifts at frequency {f:.6g} (scale {a:.6g}); "
+                f"need n * f_min / beta >= 10, got {n * grid.f_min / grid.beta:.3g}"
+            )
+        e = np.array([empirical_coeff(path, w, a, k) for k in range(m0, m1 + 1)])
+        j = float(np.mean(e * e))
+        counts[i] = m1 - m0 + 1
+        if not np.isfinite(j) or j <= 0.0:
+            raise DegeneratePathError(
+                f"zero wavelet energy at frequency {f:.6g}; the path carries no signal there"
+            )
+        y[i] = np.log(j)
+    return WaveletSpectrum(grid=grid, y=y, r=r, counts=counts)

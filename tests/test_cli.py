@@ -188,3 +188,14 @@ class TestMontecarlo:
                   "--delta", "0.03", "--f-min", "0.5", "--f-max", "16",
                   "--replications", "0", "--out", tmp_path / "t.json"])
         assert rc == 2
+
+    def test_size_cap_exit_4(self, tmp_path, capsys):
+        """n above the factorization cap fails before any covariance is built,
+        and the message names the cap and the knobs that raise it."""
+        rc = run(["montecarlo", "--hurst", "0.6", "--sigma2", "1", "--n", "9000",
+                  "--delta", "0.03", "--f-min", "0.05", "--f-max", "20",
+                  "--replications", "2", "--out", tmp_path / "t.json"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "cap 8192" in err and "--max-n" in err
+        assert not (tmp_path / "t.json").exists()

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from mfbm import ModelSpec, PathSampler, SimConfig, covariance_matrix, empirical_variogram, gaussian_vector, simulate_path
+from mfbm import ModelSpec, PathSampler, covariance_matrix, empirical_variogram
 from mfbm.errors import ResourceLimitError, SimulationError
-from mfbm.simulate import inverse_normal_cdf, standard_normals
+from mfbm.simulate import _cholesky_with_jitter, inverse_normal_cdf, standard_normals
 
 from conftest import FBM06
 
@@ -42,42 +42,49 @@ class TestStreams:
 
 
 class TestGaussianVector:
+    """The two pieces of every Gaussian draw: N(0, I) normals and the
+    jitter-ladder Cholesky factor that correlates them."""
+
     def test_identity_statistics(self):
-        draws = np.stack([gaussian_vector(np.eye(3), seed=1, stream=s) for s in range(10_000)])
-        assert abs(draws.mean()) < 0.05
-        assert abs(draws.var() - 1.0) < 0.05
+        z = standard_normals(30_000, seed=1)
+        assert abs(z.mean()) < 0.05
+        assert abs(z.var() - 1.0) < 0.05
 
     def test_zero_matrix(self):
-        assert np.array_equal(gaussian_vector(np.zeros((4, 4)), seed=0), np.zeros(4))
+        assert np.array_equal(_cholesky_with_jitter(np.zeros((4, 4))), np.zeros((4, 4)))
 
     def test_rank_one(self):
-        cov = np.ones((2, 2))
+        lower = _cholesky_with_jitter(np.ones((2, 2)))
         for s in range(20):
-            x = gaussian_vector(cov, seed=3, stream=s)
+            x = lower @ standard_normals(2, seed=3, stream=s)
             assert abs(x[0] - x[1]) <= 1e-4 * (1.0 + abs(x[0]))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            gaussian_vector(np.array([[1.0, 0.5], [0.0, 1.0]]), seed=0)
 
     def test_indefinite_fails_with_eigenvalue(self):
         cov = np.diag([1.0, -0.5])
         with pytest.raises(SimulationError, match="eigenvalue"):
-            gaussian_vector(cov, seed=0)
+            _cholesky_with_jitter(cov)
 
 
 class TestSimulatePath:
     def test_bitwise_determinism(self):
-        cfg = SimConfig(model=ModelSpec.fbm(0.7, 1.0), n=64, delta=0.1, seed=9)
-        a = simulate_path(cfg)
-        b = simulate_path(cfg)
+        a = PathSampler(ModelSpec.fbm(0.7, 1.0), 64, 0.1).draw(seed=9)
+        b = PathSampler(ModelSpec.fbm(0.7, 1.0), 64, 0.1).draw(seed=9)
         assert np.array_equal(a.values, b.values)
 
     def test_size_cap(self):
-        with pytest.raises(ResourceLimitError, match="cap"):
-            SimConfig(model=ModelSpec.fbm(0.5, 1.0), n=9000, delta=0.01)
-        cfg = SimConfig(model=ModelSpec.fbm(0.5, 1.0), n=9000, delta=0.01, max_n=10_000)
-        assert cfg.n == 9000  # explicit override accepted
+        model = ModelSpec.fbm(0.5, 1.0)
+        with pytest.raises(ResourceLimitError, match="cap 32"):
+            PathSampler(model, 64, 0.01, max_n=32)
+        sampler = PathSampler(model, 64, 0.01, max_n=64)  # explicit override accepted
+        assert sampler.draw(seed=0).n == 64
+
+    def test_rejects_bad_grid(self):
+        """The grid is checked before any covariance is built."""
+        model = ModelSpec.fbm(0.5, 1.0)
+        with pytest.raises(ValueError, match="two samples"):
+            PathSampler(model, 1, 0.01)
+        with pytest.raises(ValueError, match="positive"):
+            PathSampler(model, 64, 0.0)
 
     def test_brownian_increments_uncorrelated(self):
         sampler = PathSampler(ModelSpec.fbm(0.5, 1.0), 2000, 0.05)

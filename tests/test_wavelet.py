@@ -1,13 +1,16 @@
-"""Wavelet profiles, time-domain table, normalizing constants, coefficient
-sums, and the log-variance spectrum (fast engine vs literal reference)."""
+"""Wavelet profiles, the time-domain reference table, normalizing constants,
+coefficient sums, and the log-variance spectrum (chirp-z engine vs the
+literal time-domain oracle)."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mfbm import ModelSpec, SampledPath, build_grid, empirical_coeff, k_const, psi_hat, psi_time, spectrum, theoretical_variance
+from mfbm import ModelSpec, SampledPath, build_grid, k_const, psi_hat, spectrum, theoretical_variance
 from mfbm.errors import DegeneratePathError, NumericError
 from mfbm.wavelet import BandWavelet
+
+from oracles import build_table, direct_spectrum, empirical_coeff, psi_time
 
 FIG3 = ModelSpec(hurst=(0.9, 0.2, 0.5), sigma=(5.0, 5.0, 5.0), omega=(0.05, 0.5))
 
@@ -56,6 +59,22 @@ class TestProfiles:
         with pytest.raises(ValueError, match="two columns"):
             BandWavelet.from_table_file(fname, 1.0, 2.0)
 
+    def test_table_density(self):
+        """A linearly interpolated table works only when dense: 100,000 samples
+        of the bump on [1, 2] reproduce its reach and K_H, 1,000 fail at psi(0)."""
+        ref = BandWavelet.bump(1.0, 2.0)
+
+        def tabulated(samples):
+            xs = np.linspace(1.0, 2.0, samples + 2)[1:-1]
+            return BandWavelet.from_table(xs, psi_hat(ref, xs), 1.0, 2.0)
+
+        dense = tabulated(100_000)
+        assert dense.decay_reach() == pytest.approx(ref.decay_reach(), rel=1e-8)
+        for h in (0.2, 0.5, 0.8):
+            assert k_const(dense, h) == pytest.approx(k_const(ref, h), rel=1e-8)
+        with pytest.raises(NumericError, match=r"psi\(0\)"):
+            tabulated(1_000).decay_reach()
+
 
 class TestTimeDomain:
     def test_positive_at_zero(self, bump):
@@ -81,9 +100,8 @@ class TestTimeDomain:
     def test_moments_vanish(self, bump):
         """Integrals of t^m psi(t) vanish: exactly at m = 0 within the table
         tolerance, and at m = 2 up to the t^2-amplified tail truncation."""
-        h = bump._table_step
-        ts = np.arange(bump._table.size) * h
-        vals = bump._table
+        vals, h = build_table(bump)
+        ts = np.arange(vals.size) * h
         scale = float(np.trapezoid(np.abs(vals), dx=h))  # ~ L1 mass of the positive half
         m0 = 2.0 * np.trapezoid(vals, dx=h)  # even extension doubles the half-line rule
         assert abs(m0) <= 1e-8 * scale
@@ -181,9 +199,9 @@ def small_path():
 class TestSpectrum:
     def test_engines_agree(self, bump, small_path):
         grid = build_grid(small_path.n, small_path.delta, 0.6, 12.0, bump)
-        fast = spectrum(small_path, bump, grid, r=0.1, engine="czt")
-        slow = spectrum(small_path, bump, grid, r=0.1, engine="direct")
-        # the direct engine goes through the interpolated table (~1e-6 relative)
+        fast = spectrum(small_path, bump, grid, r=0.1)
+        slow = direct_spectrum(small_path, bump, grid, r=0.1)
+        # the direct route goes through the interpolated table (~1e-6 relative)
         assert np.max(np.abs(fast.y - slow.y)) <= 5e-5
         assert np.array_equal(fast.counts, slow.counts)
 
