@@ -54,10 +54,6 @@ class FrequencyGrid:
     def log_f(self) -> np.ndarray:
         return np.log(self.f)
 
-    @property
-    def scales(self) -> np.ndarray:
-        return 1.0 / self.f
-
 
 def build_grid(n: int, delta: float, f_min: float, f_max: float, wavelet) -> FrequencyGrid:
     """Frequency grid for a length-n path sampled at step delta.
@@ -155,16 +151,17 @@ class _SegmentCosts:
     """O(1) OLS cost of any candidate segment via prefix sums over the grid.
 
     Index arguments refer to grid indices; segment (lo, hi] is regressed
-    on lo+1 .. hi-tau, and anything with fewer than MIN_SEGMENT_POINTS
-    regression points costs +inf.
+    on lo+1 .. hi-tau, and anything with fewer than min_points regression
+    points costs +inf.
     """
 
-    def __init__(self, y, x, tau):
+    def __init__(self, y, x, tau, min_points=MIN_SEGMENT_POINTS):
         one = np.ones_like(x)
         self._sums = np.concatenate(
             [np.zeros((6, 1)), np.cumsum([one, x, x * x, y, x * y, y * y], axis=1)], axis=1
         )
         self._tau = tau
+        self._min_points = min_points
         self._last = x.size - 1
 
     def _moments(self, lo, hi):
@@ -184,7 +181,7 @@ class _SegmentCosts:
     def cost(self, t_lo, t_hi):
         """Residual sum of segment(s) (t_lo, t_hi]; either side may be an array."""
         t_lo, t_hi = np.broadcast_arrays(np.asarray(t_lo, dtype=int), np.asarray(t_hi, dtype=int))
-        ok = (t_hi - t_lo - self._tau) >= MIN_SEGMENT_POINTS
+        ok = (t_hi - t_lo - self._tau) >= self._min_points
         lo = t_lo + 1
         hi = t_hi - self._tau
         n, sx, sxx, sy, sxy, syy = self._moments(np.minimum(lo, self._last), np.maximum(hi, 0))
@@ -197,12 +194,13 @@ class _SegmentCosts:
         return out if out.ndim else float(out)
 
 
-def minimize_q(y: np.ndarray, grid: FrequencyGrid, k: int) -> Segmentation:
+def minimize_q(y: np.ndarray, grid: FrequencyGrid, k: int,
+               min_points: int = MIN_SEGMENT_POINTS) -> Segmentation:
     """Global minimizer of the segmentation criterion over all admissible
     breakpoint vectors with k changes, by exact dynamic programming.
 
-    Candidate segments with fewer than MIN_SEGMENT_POINTS regression points
-    are excluded. Ties resolve to the lexicographically smallest breakpoints.
+    Candidate segments with fewer than min_points regression points are
+    excluded. Ties resolve to the lexicographically smallest breakpoints.
     """
     if k < 0:
         raise ValueError("number of changes must be nonnegative")
@@ -210,7 +208,7 @@ def minimize_q(y: np.ndarray, grid: FrequencyGrid, k: int) -> Segmentation:
     if y.size != grid.a_n + 1:
         raise ValueError(f"need {grid.a_n + 1} spectrum values, got {y.size}")
     tau, end = grid.tau_n, grid.a_n + grid.tau_n
-    costs = _SegmentCosts(y, grid.log_f, tau)
+    costs = _SegmentCosts(y, grid.log_f, tau, min_points)
 
     if k == 0:
         q = costs.cost(0, end)
@@ -218,7 +216,7 @@ def minimize_q(y: np.ndarray, grid: FrequencyGrid, k: int) -> Segmentation:
             raise AnalysisError("grid too short for a single-segment fit")
         return Segmentation(t=(0, end), lines=(costs.line(1, grid.a_n),), cost=float(q), tau_n=tau)
 
-    gap = tau + MIN_SEGMENT_POINTS
+    gap = tau + min_points
     u = np.arange(end + 1)
     # suffix[j][v] = least cost of segments j..k given t_j = v
     suffix = [None] * (k + 1)

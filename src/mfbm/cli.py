@@ -230,10 +230,6 @@ def _write_csv(path, header, rows):
 
 def _cmd_simulate(args) -> int:
     model = _model_from_args(args)
-    if args.n < 2:
-        raise ConfigError("need n >= 2 samples")
-    if args.delta <= 0:
-        raise ConfigError("sampling step must be positive")
     sampler = PathSampler(model, args.n, args.delta, max_n=args.max_n)
     path = sampler.draw(args.seed, stream=args.stream)
     _write_csv(args.out, ["time", "value"],
@@ -311,8 +307,6 @@ def _cmd_fit(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     model = _model_from_args(args)
-    if args.replications < 2:
-        raise ConfigError("need at least two replications")
     if args.wavelet == "table":
         raise ConfigError("montecarlo supports the built-in wavelets only (bump, meyer-shifted)")
     study = ReplicationStudy(

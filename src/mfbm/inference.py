@@ -310,9 +310,12 @@ def _check_segment_separation(points, grid: FrequencyGrid, ratio: float):
 def fit_fixed_k(spec: WaveletSpectrum, w: BandWavelet, k: int, m: int = 5,
                 level: float = 0.05, sigma_convention: str = "limit") -> FitResult:
     """Full fit of a k-change model to one spectrum: segmentation, refine-point
-    OLS, covariance, FGLS and the goodness-of-fit statistic."""
+    OLS, covariance, FGLS and the goodness-of-fit statistic.
+
+    Segmentation admits only segments with room for the m refine points
+    (m + 1 regression indices)."""
     grid = spec.grid
-    seg = minimize_q(spec.y, grid, k)
+    seg = minimize_q(spec.y, grid, k, min_points=m + 1)
     omegas = omega_hat(grid, seg.t)
     points = refine_points(seg.t, grid, m)
     _check_segment_separation(points, grid, w.ratio)

@@ -12,7 +12,9 @@ chirp-z transform: sampling the Fourier profile on a uniform grid of
 spacing d_xi makes the effective time-domain kernel the
 2*pi/d_xi-periodization of psi, so choosing d_xi small enough keeps the
 wrap-around images below the tail tolerance that defines the wavelet's
-decay reach.
+decay reach. The reach itself is found by scanning |psi| on a uniform time
+grid, which is one more chirp-z transform of the same profile samples: the
+library has a single route for Fourier sums of the profile.
 """
 
 from __future__ import annotations
@@ -211,39 +213,18 @@ class BandWavelet:
 
     # -- time-domain reach --------------------------------------------------
 
-    def _fourier_sum(self, ts, guard):
-        """(1/pi) * integral of profile * exp(-i t xi), anti-aliased out to guard.
-
-        Uses a trapezoid sum over the band; spacing is chosen so the implied
-        periodization images sit at least `guard` away from every |t| queried.
-        """
-        ts = np.asarray(ts, dtype=float)
-        width = self.beta - self.alpha
-        n_seg = max(128, int(np.ceil(width * guard / (2.0 * np.pi))) + 1)
-        xi = np.linspace(self.alpha, self.beta, n_seg + 1)
-        wts = np.full(n_seg + 1, xi[1] - xi[0])
-        wts[0] *= 0.5
-        wts[-1] *= 0.5
-        coef = wts * self.profile_values(xi)
-        out = np.empty(ts.size, dtype=complex)
-        chunk = max(1, int(4e6) // (n_seg + 1))
-        for i in range(0, ts.size, chunk):
-            block = ts[i : i + chunk]
-            out[i : i + chunk] = np.exp(-1j * np.outer(block, xi)) @ coef
-        return out / np.pi
-
-    def decay_reach(self, tol: float = _TAIL_TOL) -> float:
-        """Smallest R with |psi(t)| < tol * max|psi| for all |t| > R (estimated
+    def decay_reach(self) -> float:
+        """Smallest R with |psi(t)| < 1e-10 * max|psi| for all |t| > R (estimated
         from the smooth modulus envelope of the analytic signal)."""
         if self._reach is not None:
             return self._reach
         step = 0.5 * np.pi / (self.beta - self.alpha)
-        threshold = tol * self.psi0
+        threshold = _TAIL_TOL * self.psi0
         last_exceed = 0.0
         t_lo, t_hi = 0.0, 256.0
         while t_hi <= _REACH_CAP:
             ts = np.arange(t_lo, t_hi, step)
-            env = np.abs(self._fourier_sum(ts, guard=2.0 * t_hi + 128.0))
+            env = _envelope(self, t_lo, step, ts.size, span=2.0 * t_hi + 128.0)
             over = env >= threshold
             if np.any(over):
                 last_exceed = float(ts[over][-1])
@@ -252,13 +233,36 @@ class BandWavelet:
             t_lo, t_hi = t_hi, 2.0 * t_hi
         else:
             raise NumericError(
-                f"wavelet tail does not fall below {tol} * max|psi| within |t| <= {_REACH_CAP}; "
+                f"wavelet tail does not fall below {_TAIL_TOL} * max|psi| within |t| <= {_REACH_CAP}; "
                 "the profile is too rough for time-domain evaluation"
             )
         reach = last_exceed + 2.0 * step
         with self._lock:
             self._reach = reach
         return reach
+
+
+def _profile_samples(w: BandWavelet, span: float):
+    """(d_xi, coef): trapezoid weights times the profile on a uniform grid over
+    the band, so that sum_q coef_q exp(-i t xi_q) approximates pi * psi(t).
+
+    The spacing d_xi <= 2*pi / span puts the images of the periodized sum at
+    least `span` apart in t.
+    """
+    n_seg = max(128, int(np.ceil((w.beta - w.alpha) * span / (2.0 * np.pi))) + 1)
+    xi = np.linspace(w.alpha, w.beta, n_seg + 1)
+    d_xi = xi[1] - xi[0]
+    wts = np.full(n_seg + 1, d_xi)
+    wts[0] *= 0.5
+    wts[-1] *= 0.5
+    return d_xi, wts * w.profile_values(xi)
+
+
+def _envelope(w: BandWavelet, t_lo: float, step: float, m: int, span: float) -> np.ndarray:
+    """|psi(t)| at t = t_lo + k step, k = 0..m-1, as one chirp-z transform of
+    the profile samples for `span` (the phase exp(-i t alpha) drops out)."""
+    d_xi, coef = _profile_samples(w, span)
+    return np.abs(czt(coef, m=m, w=np.exp(-1j * step * d_xi), a=np.exp(1j * t_lo * d_xi))) / np.pi
 
 
 def psi_hat(w: BandWavelet, xi):
@@ -306,10 +310,6 @@ class WaveletSpectrum:
     r: float
     counts: np.ndarray
 
-    @property
-    def log_f(self) -> np.ndarray:
-        return np.log(self.grid.f)
-
 
 def _shift_range(n: int, a: float, r: float):
     """Retained shift indices at scale a: floor(r n / a) .. floor((1-r) n / a)."""
@@ -329,21 +329,14 @@ def _scale_coeffs_czt(path: SampledPath, w: BandWavelet, a: float, m0: int, m1: 
     """
     delta = path.delta
     n = path.n
-    alpha, beta = w.alpha, w.beta
-    t_max = n * delta / a
-    n_seg = max(128, int(np.ceil((beta - alpha) * (t_max + reach + 16.0) / (2.0 * np.pi))) + 1)
-    xi = np.linspace(alpha, beta, n_seg + 1)
-    d_xi = xi[1] - xi[0]
-    wts = np.full(n_seg + 1, d_xi)
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
-    coef = wts * w.profile_values(xi)
+    alpha = w.alpha
+    d_xi, coef = _profile_samples(w, n * delta / a + reach + 16.0)
 
     # D_q = sum_{p=0}^{n-1} X(p delta) exp(-i xi_q p delta / a); X(0) = 0 occupies slot 0
     step = delta / a
     xs = np.zeros(n, dtype=complex)
     xs[1:] = path.values[: n - 1] * np.exp(-1j * alpha * step * np.arange(1, n))
-    d = czt(xs, m=n_seg + 1, w=np.exp(-1j * d_xi * step), a=1.0 + 0.0j)
+    d = czt(xs, m=coef.size, w=np.exp(-1j * d_xi * step), a=1.0 + 0.0j)
     # e_k = (delta / (pi sqrt(a))) Re[ exp(i alpha k delta) * sum_q c_q D_q exp(i q d_xi k delta) ]
     inner = czt(coef * d, m=m1 - m0 + 1,
                 w=np.exp(1j * d_xi * delta), a=np.exp(-1j * d_xi * delta * m0))

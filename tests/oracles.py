@@ -8,10 +8,12 @@ variance and the covariance kernel entries, and the covariance kernel once
 more through its oscillatory double integral (no Plancherel step).
 
 The library's spectrum evaluates the coefficient sums through chirp-z
-transforms (mfbm.wavelet.spectrum). The literal route is here: psi tabulated
-in the time domain and interpolated cubically, every coefficient summed
-over the samples where psi is nonzero, and the log-variance spectrum built
-from those sums. Tests compare the library against them.
+transforms (mfbm.wavelet.spectrum), and its decay-reach scan evaluates psi
+by one more chirp-z transform. The literal routes are here: psi as a dense
+trapezoid sum over the band, the reach scan on that sum, psi tabulated in
+the time domain and interpolated cubically, every coefficient summed over
+the samples where psi is nonzero, and the log-variance spectrum built from
+those sums. Tests compare the library against them.
 """
 
 import functools
@@ -21,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from mfbm.errors import AnalysisError, DegeneratePathError, NumericError
-from mfbm.wavelet import WaveletSpectrum, _shift_range
+from mfbm.wavelet import _REACH_CAP, _TAIL_TOL, WaveletSpectrum, _shift_range
 
 
 def _quad(fn, lo, hi):
@@ -159,6 +161,54 @@ def sigma_entry_oscillatory(h, g_lo, g_hi, w):
     return refined
 
 
+def fourier_sum(w, ts, guard):
+    """(1/pi) * integral of profile * exp(-i t xi), anti-aliased out to guard.
+
+    Uses a trapezoid sum over the band, evaluated densely as chunked outer
+    products; spacing is chosen so the implied periodization images sit at
+    least `guard` away from every |t| queried.
+    """
+    ts = np.asarray(ts, dtype=float)
+    width = w.beta - w.alpha
+    n_seg = max(128, int(np.ceil(width * guard / (2.0 * np.pi))) + 1)
+    xi = np.linspace(w.alpha, w.beta, n_seg + 1)
+    wts = np.full(n_seg + 1, xi[1] - xi[0])
+    wts[0] *= 0.5
+    wts[-1] *= 0.5
+    coef = wts * w.profile_values(xi)
+    out = np.empty(ts.size, dtype=complex)
+    chunk = max(1, int(4e6) // (n_seg + 1))
+    for i in range(0, ts.size, chunk):
+        block = ts[i : i + chunk]
+        out[i : i + chunk] = np.exp(-1j * np.outer(block, xi)) @ coef
+    return out / np.pi
+
+
+def dense_reach(w):
+    """BandWavelet.decay_reach with the envelope taken from fourier_sum.
+
+    Returns (reach, blocks); each block is (t_lo, step, ts, guard, envelope)
+    for one doubling round of the scan. Raises NumericError at the same cap.
+    """
+    step = 0.5 * np.pi / (w.beta - w.alpha)
+    threshold = _TAIL_TOL * w.psi0
+    last_exceed = 0.0
+    t_lo, t_hi = 0.0, 256.0
+    blocks = []
+    while t_hi <= _REACH_CAP:
+        ts = np.arange(t_lo, t_hi, step)
+        guard = 2.0 * t_hi + 128.0
+        env = np.abs(fourier_sum(w, ts, guard))
+        blocks.append((t_lo, step, ts, guard, env))
+        over = env >= threshold
+        if np.any(over):
+            last_exceed = float(ts[over][-1])
+        elif t_hi >= 2.0 * max(last_exceed, 128.0):
+            return last_exceed + 2.0 * step, blocks
+        t_lo, t_hi = t_hi, 2.0 * t_hi
+    raise NumericError(f"dense reach scan hit the cap {_REACH_CAP}")
+
+
 _TABLE_NODES_PER_PERIOD = 64
 
 
@@ -171,7 +221,7 @@ def build_table(w):
     step = 2.0 * np.pi / (_TABLE_NODES_PER_PERIOD * w.beta)
     reach = w.decay_reach()
     ts = np.arange(0.0, reach + 4.0 * step, step)
-    return np.real(w._fourier_sum(ts, guard=ts[-1] + reach + 64.0)), step
+    return np.real(fourier_sum(w, ts, guard=ts[-1] + reach + 64.0)), step
 
 
 def psi_time(w, t):

@@ -10,20 +10,20 @@ from mfbm.changepoint import MIN_SEGMENT_POINTS, asymptotic_refine_targets
 from mfbm.errors import AnalysisError, SegmentTooShortError
 
 
-def exhaustive_min(y, grid, k):
+def exhaustive_min(y, grid, k, min_points=MIN_SEGMENT_POINTS):
     """Brute-force minimum of the criterion over all admissible breakpoints.
 
     Returns (cost, t) or (None, None) when nothing is admissible. Candidate
-    segments shorter than tau_n + MIN_SEGMENT_POINTS are excluded, matching
-    the minimizer's rule.
+    segments shorter than tau_n + min_points are excluded, matching the
+    minimizer's rule.
     """
     end = grid.a_n + grid.tau_n
-    gap = grid.tau_n + MIN_SEGMENT_POINTS
+    gap = grid.tau_n + min_points
     x = grid.log_f
 
     def seg_cost(lo, hi):
         idx = np.arange(lo + 1, hi - grid.tau_n + 1)
-        if idx.size < MIN_SEGMENT_POINTS:
+        if idx.size < min_points:
             return np.inf
         slope, icept = np.polyfit(x[idx], y[idx], 1)
         resid = y[idx] - slope * x[idx] - icept
@@ -152,18 +152,19 @@ def test_minimize_recovers_exact_piecewise_split(std_grid):
 
 
 def test_minimize_matches_exhaustive_on_random_instances(bump):
+    """At the default floor and at m + 1 = 6 regression points per segment."""
     rng = np.random.default_rng(12)
     for _ in range(6):
         a_n = int(rng.integers(30, 61))
         grid = build_grid(a_n * 100, 0.01, float(rng.uniform(0.05, 0.2)), 5.0, bump)
         y = rng.normal(size=grid.a_n + 1)
-        for k in (0, 1, 2):
-            ref_cost, ref_t = exhaustive_min(y, grid, k)
+        for k, min_points in itertools.product((0, 1, 2), (MIN_SEGMENT_POINTS, 6)):
+            ref_cost, ref_t = exhaustive_min(y, grid, k, min_points)
             if ref_cost is None:
                 with pytest.raises(AnalysisError):
-                    minimize_q(y, grid, k)
+                    minimize_q(y, grid, k, min_points=min_points)
                 continue
-            seg = minimize_q(y, grid, k)
+            seg = minimize_q(y, grid, k, min_points=min_points)
             assert seg.t == ref_t
             assert seg.cost == pytest.approx(ref_cost, rel=1e-9, abs=1e-12)
 

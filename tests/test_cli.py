@@ -42,9 +42,10 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_n_exit_2(self, tmp_path):
-        rc = run(["simulate", "--hurst", "0.6", "--sigma2", "1", "--n", "0",
-                  "--delta", "0.03", "--out", tmp_path / "x.csv"])
-        assert rc == 2
+        for n, delta in (("0", "0.03"), ("100", "0")):
+            rc = run(["simulate", "--hurst", "0.6", "--sigma2", "1", "--n", n,
+                      "--delta", delta, "--out", tmp_path / "x.csv"])
+            assert rc == 2
 
     def test_mismatched_model_exit_2(self, tmp_path):
         rc = run(["simulate", "--hurst", "0.6,0.2", "--sigma2", "1", "--n", "100",

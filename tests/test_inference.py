@@ -10,6 +10,7 @@ import mpmath
 from mfbm import (
     SampledPath,
     build_grid,
+    minimize_q,
     chi2_upper_tail,
     fgls_estimate,
     fit_fixed_k,
@@ -22,6 +23,7 @@ from mfbm import (
 from mfbm import test_statistic as t_k_statistic
 from mfbm.errors import DegeneratePathError
 from mfbm.inference import H_CLAMP, _sigma_entry, chi2_cdf
+from mfbm.wavelet import WaveletSpectrum
 
 from oracles import sigma_entry_oscillatory
 
@@ -270,6 +272,26 @@ class TestSelection:
         assert np.allclose(g1, g1.T) and np.allclose(g2, g2.T)
         assert g2[0, 0] <= g1[0, 0] + 1e-12
         assert "lambda_cov" in fit.to_dict()["segments"][0]
+
+    def test_segments_leave_room_for_refine_points(self, bump, grid6000):
+        """Three exact lines, the first on only 4 regression indices: the
+        unconstrained K = 2 optimum keeps that short segment, which has no room
+        for m = 5 refine points; fit_fixed_k segments with m + 1 indices per
+        segment instead of raising."""
+        g = grid6000
+        i = np.arange(g.a_n + 1)
+        t_short, t_mid = g.tau_n + 4, 118
+        y = np.where(i <= 4, -1.4 * g.log_f + 0.3,
+                     np.where(i <= t_mid - g.tau_n, -2.2 * g.log_f + 0.9,
+                              -2.4 * g.log_f + 1.1))
+        y[(i > 4) & (i <= t_short)] = 7.7
+        y[(i > t_mid - g.tau_n) & (i <= t_mid)] = 7.7
+        spec = WaveletSpectrum(grid=g, y=y, r=0.1, counts=np.ones(g.a_n + 1, dtype=int))
+        assert minimize_q(y, g, 2).t[1] == t_short
+        fit = fit_fixed_k(spec, bump, 2, m=5)
+        assert fit.k == 2
+        for j in range(3):
+            assert fit.segmentation.segment_indices(j).size >= 6
 
     def test_cross_segment_separation_asserted(self, bump, fbm06_paths):
         fit = fit_fixed_k(

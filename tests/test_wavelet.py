@@ -1,6 +1,6 @@
 """Wavelet profiles, the time-domain reference table, normalizing constants,
-coefficient sums, and the log-variance spectrum (chirp-z engine vs the
-literal time-domain oracle)."""
+coefficient sums, the log-variance spectrum and the decay reach (chirp-z
+routes vs the literal dense-sum and time-domain oracles)."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,17 @@ from scipy.integrate import quad
 
 from mfbm import ModelSpec, SampledPath, build_grid, k_const, psi_hat, spectrum, theoretical_variance
 from mfbm.errors import DegeneratePathError, NumericError
-from mfbm.wavelet import BandWavelet
+from mfbm.wavelet import BandWavelet, _envelope
 
-from oracles import build_table, direct_spectrum, empirical_coeff, psi_time
+from oracles import build_table, dense_reach, direct_spectrum, empirical_coeff, fourier_sum, psi_time
 
 FIG3 = ModelSpec(hurst=(0.9, 0.2, 0.5), sigma=(5.0, 5.0, 5.0), omega=(0.05, 0.5))
+
+
+def bump_table(samples):
+    """The bump on [1, 2] tabulated uniformly strictly inside its band."""
+    xs = np.linspace(1.0, 2.0, samples + 2)[1:-1]
+    return BandWavelet.from_table(xs, psi_hat(BandWavelet.bump(1.0, 2.0), xs), 1.0, 2.0)
 
 
 class TestProfiles:
@@ -61,19 +67,17 @@ class TestProfiles:
 
     def test_table_density(self):
         """A linearly interpolated table works only when dense: 100,000 samples
-        of the bump on [1, 2] reproduce its reach and K_H, 1,000 fail at psi(0)."""
+        of the bump on [1, 2] reproduce its reach and K_H, 1,000 fail at psi(0)
+        and 20,000 at the reach cap."""
         ref = BandWavelet.bump(1.0, 2.0)
-
-        def tabulated(samples):
-            xs = np.linspace(1.0, 2.0, samples + 2)[1:-1]
-            return BandWavelet.from_table(xs, psi_hat(ref, xs), 1.0, 2.0)
-
-        dense = tabulated(100_000)
+        dense = bump_table(100_000)
         assert dense.decay_reach() == pytest.approx(ref.decay_reach(), rel=1e-8)
         for h in (0.2, 0.5, 0.8):
             assert k_const(dense, h) == pytest.approx(k_const(ref, h), rel=1e-8)
         with pytest.raises(NumericError, match=r"psi\(0\)"):
-            tabulated(1_000).decay_reach()
+            bump_table(1_000).decay_reach()
+        with pytest.raises(NumericError, match="does not fall below"):
+            bump_table(20_000).decay_reach()
 
 
 class TestTimeDomain:
@@ -279,5 +283,22 @@ class TestReach:
         r = bump.decay_reach()
         ts = np.linspace(r, r + 50, 200)
         # envelope beyond the reach stays below the tolerance
-        env = np.abs(bump._fourier_sum(ts, guard=2 * ts[-1] + 128))
+        env = np.abs(fourier_sum(bump, ts, guard=2 * ts[-1] + 128))
         assert np.max(env) <= 2e-10 * bump.psi0
+
+    @pytest.mark.parametrize("make, want", [
+        (BandWavelet.bump, 773.3805087786604),
+        (BandWavelet.meyer_shifted, 298.0),
+        (lambda: BandWavelet.bump(1.0, 2.0), 285.84513020910293),
+        (lambda: BandWavelet.bump(0.5, 3.0), 470.25661897481547),
+        (lambda: bump_table(50_000), 722.4867077905229),
+    ], ids=["bump-5-10", "meyer-shifted", "bump-1-2", "bump-0.5-3", "table-50k"])
+    def test_reach_matches_dense_scan(self, make, want):
+        """The chirp-z reach scan gives the dense-sum scan's reach exactly, with
+        envelopes within 1e-12 psi(0) on every block of the scan."""
+        w = make()
+        reach, blocks = dense_reach(w)
+        for t_lo, step, ts, guard, env in blocks:
+            fast = _envelope(w, t_lo, step, ts.size, span=guard)
+            assert np.max(np.abs(fast - env)) <= 1e-12 * w.psi0
+        assert w.decay_reach() == reach == want
