@@ -20,7 +20,7 @@ warnings.simplefilter("ignore")
 model = ModelSpec(hurst=(0.2, 0.7), sigma=(np.sqrt(10.0), np.sqrt(5.0)), omega=(5.0,))
 n, delta = 6000, 0.03
 print(f"true model: H = {model.hurst}, sigma^2 = (10, 5), omega_1 = 5")
-print(f"simulating {n} samples at step {delta} (one-time covariance factorization)...")
+print(f"simulating {n} samples at step {delta} (one-time circulant embedding)...")
 path = PathSampler(model, n, delta).draw(seed=20)
 
 w = BandWavelet.bump(5.0, 10.0)

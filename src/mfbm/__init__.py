@@ -17,7 +17,6 @@ from .errors import (
     DegeneratePathError,
     MfbmError,
     NumericError,
-    ResourceLimitError,
     SegmentTooShortError,
     SimulationError,
 )
@@ -49,7 +48,6 @@ from .wavelet import (
     BandWavelet,
     WaveletSpectrum,
     k_const,
-    psi_hat,
     spectrum,
     theoretical_variance,
 )

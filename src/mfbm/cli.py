@@ -27,7 +27,6 @@ from .errors import (
     ConfigError,
     MfbmError,
     NumericError,
-    ResourceLimitError,
     SimulationError,
 )
 from .inference import select_k
@@ -92,7 +91,6 @@ def _build_parser():
     p.add_argument("--delta", type=float, required=True, help="sampling step")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0, help="replication stream index")
-    p.add_argument("--max-n", type=int, default=8192, help="factorization size cap")
     p.add_argument("--out", required=True, help="output CSV (time,value)")
 
     p = sub.add_parser("analyze", help="compute the wavelet log-variance spectrum of a path")
@@ -230,7 +228,7 @@ def _write_csv(path, header, rows):
 
 def _cmd_simulate(args) -> int:
     model = _model_from_args(args)
-    sampler = PathSampler(model, args.n, args.delta, max_n=args.max_n)
+    sampler = PathSampler(model, args.n, args.delta)
     path = sampler.draw(args.seed, stream=args.stream)
     _write_csv(args.out, ["time", "value"],
                [(float(t), float(v)) for t, v in zip(path.times, path.values)])
@@ -420,7 +418,7 @@ def main(argv=None) -> int:
     except (ConfigError, AnalysisError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NumericError, SimulationError, ResourceLimitError) as e:
+    except (NumericError, SimulationError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 4
     except MfbmError as e:

@@ -10,11 +10,7 @@ class ConfigError(MfbmError):
 
 
 class SimulationError(MfbmError):
-    """Gaussian synthesis failed (covariance not factorizable within the jitter budget)."""
-
-
-class ResourceLimitError(MfbmError):
-    """Requested problem size exceeds the configured factorization cap."""
+    """Gaussian synthesis failed (circulant embedding with a negative eigenvalue)."""
 
 
 class NumericError(MfbmError):

@@ -199,14 +199,21 @@ def _cum_series(h, x):
 
 
 def _cum_panels(h, xs):
-    """Cumulative integral from 1 to each xs (sorted ascending, all > 1)."""
-    edges = [np.array([_SERIES_CUT])]
-    prev = _SERIES_CUT
-    for x in xs:
-        n_sub = max(1, int(np.ceil((x - prev) / _PANEL_MAX_LEN)))
-        edges.append(np.linspace(prev, x, n_sub + 1)[1:])
-        prev = x
-    edges = np.concatenate(edges)
+    """Cumulative integral from 1 to each xs (sorted ascending, all > 1).
+
+    The gap from each x to the one before it is cut into equal panels no
+    longer than _PANEL_MAX_LEN, with edges prev + k * step and the last edge
+    pinned to x itself (the points np.linspace(prev, x, n_sub + 1)[1:]).
+    """
+    prev = np.concatenate(([_SERIES_CUT], xs[:-1]))
+    n_sub = np.maximum(1, np.ceil((xs - prev) / _PANEL_MAX_LEN)).astype(np.intp)
+    step = (xs - prev) / n_sub
+    ends = np.cumsum(n_sub)
+    owner = np.repeat(np.arange(xs.size), n_sub)
+    k = np.arange(1, ends[-1] + 1) - np.repeat(ends - n_sub, n_sub)
+    edges = k * step[owner] + prev[owner]
+    edges[ends - 1] = xs
+    edges = np.concatenate(([_SERIES_CUT], edges))
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)

@@ -174,8 +174,8 @@ def _replicate_safe(args):
 def run_study(study: ReplicationStudy, workers: int = 1) -> StudyResult:
     """Simulate and analyze all replications of one cell.
 
-    Paths are drawn in the parent process (one covariance factorization per
-    cell); the analyses fan out to `workers` processes when workers > 1.
+    Paths are drawn in the parent process (one circulant embedding per cell);
+    the analyses fan out to `workers` processes when workers > 1.
     """
     w = study.wavelet()
     study.model.check_analysis_band(w.alpha, w.beta, study.f_min, study.f_max)

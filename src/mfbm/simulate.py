@@ -1,17 +1,19 @@
 """Exact Gaussian synthesis of sample paths on a uniform grid.
 
-The covariance of (X(delta), ..., X(N delta)) is assembled from the model
-variogram and factorized once (Cholesky with a small jitter ladder); every
-draw is then a single triangular matrix-vector product. Randomness comes
-from a counter-based generator keyed by (seed, stream), so replication r
-of a Monte Carlo run always uses stream r regardless of scheduling.
+The increments X((k+1) delta) - X(k delta) are stationary, so their n x n
+covariance is Toeplitz. It is embedded in a circulant of size 2n, whose
+eigenvalues one FFT gives (circulant embedding: Davies & Harte 1987; Wood &
+Chan 1994); every draw is then one FFT of coloured complex white noise,
+followed by a cumulative sum. Randomness comes from a counter-based
+generator keyed by (seed, stream), so replication r of a Monte Carlo run
+always uses stream r regardless of scheduling.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ResourceLimitError, SimulationError
+from .errors import SimulationError
 from .model import ModelSpec, SampledPath, variogram
 
 __all__ = [
@@ -20,9 +22,7 @@ __all__ = [
     "uniform_stream",
 ]
 
-DEFAULT_MAX_N = 8192
-
-_JITTER_LADDER = (0.0, 1e-12, 1e-10)  # relative to trace/n
+_EIG_RTOL = 1e-12  # tolerated negative embedding eigenvalue, relative to the largest
 
 
 def uniform_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -78,52 +78,34 @@ def standard_normals(size: int, seed: int, stream: int = 0) -> np.ndarray:
     return inverse_normal_cdf(u)
 
 
-def _cholesky_with_jitter(cov: np.ndarray):
-    """Lower Cholesky factor, escalating diagonal jitter if needed."""
-    n = cov.shape[0]
-    scale = np.trace(cov) / n
-    if scale == 0.0:
-        if np.any(cov != 0.0):
-            raise SimulationError("covariance has zero trace but nonzero entries")
-        return np.zeros_like(cov)
-    for level in _JITTER_LADDER:
-        try:
-            return np.linalg.cholesky(cov + (level * scale) * np.eye(n))
-        except np.linalg.LinAlgError:
-            continue
-    min_eig = float(np.linalg.eigvalsh(cov)[0])
-    raise SimulationError(
-        f"covariance not positive definite within the jitter budget "
-        f"(smallest eigenvalue ~ {min_eig:.3e}, trace/n = {scale:.3e})"
-    )
-
-
 class PathSampler:
-    """Factor the path covariance once, then draw many replications cheaply.
+    """Embed the increment covariance once, then draw many replications cheaply.
 
-    The covariance on the uniform grid depends only on lag, so it is built
-    from N+1 variogram values. Draws are pure functions of (seed, stream).
+    The increment autocovariance on the uniform grid comes from n + 2
+    variogram values; the sampler keeps only the 2n square-rooted circulant
+    eigenvalues. Draws are pure functions of (seed, stream).
     """
 
-    def __init__(self, model: ModelSpec, n: int, delta: float, max_n: int = DEFAULT_MAX_N):
+    def __init__(self, model: ModelSpec, n: int, delta: float):
         if n < 2:
             raise ValueError("need at least two samples")
         if not delta > 0:
             raise ValueError("sampling step must be positive")
-        if n > max_n:
-            raise ResourceLimitError(
-                f"n = {n} exceeds the cap {max_n} on the n x n Cholesky factorization "
-                "of the path covariance; PathSampler(max_n=...) or mfbm simulate --max-n "
-                "raise it"
-            )
         self.model = model
         self.n = int(n)
         self.delta = float(delta)
-        v = variogram(model, delta * np.arange(n + 1))
-        idx = np.arange(1, n + 1)
-        cov = 0.5 * (v[idx][:, None] + v[idx][None, :] - v[np.abs(idx[:, None] - idx[None, :])])
-        self._lower = _cholesky_with_jitter(cov)
+        v = variogram(model, self.delta * np.arange(self.n + 2))
+        k = np.arange(self.n + 1)
+        gamma = 0.5 * (v[k + 1] + v[np.abs(k - 1)] - 2.0 * v[k])
+        eig = np.fft.fft(np.concatenate((gamma, gamma[-2:0:-1]))).real
+        if eig.min() < -_EIG_RTOL * eig.max():
+            raise SimulationError(
+                f"circulant embedding of the increment covariance is not nonnegative "
+                f"(min/max eigenvalue {eig.min() / eig.max():.2e})"
+            )
+        self._scale = np.sqrt(np.maximum(eig, 0.0) / eig.size)
 
     def draw(self, seed: int, stream: int = 0) -> SampledPath:
-        z = standard_normals(self.n, seed, stream)
-        return SampledPath(delta=self.delta, values=self._lower @ z)
+        z = standard_normals(4 * self.n, seed, stream).view(complex)
+        increments = np.fft.fft(self._scale * z).real[: self.n]
+        return SampledPath(delta=self.delta, values=np.cumsum(increments))

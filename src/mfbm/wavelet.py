@@ -19,7 +19,6 @@ library has a single route for Fourier sums of the profile.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ from .model import ModelSpec, SampledPath
 __all__ = [
     "BandWavelet",
     "WaveletSpectrum",
-    "psi_hat",
     "k_const",
     "theoretical_variance",
     "spectrum",
@@ -96,8 +94,8 @@ class BandWavelet:
 
     Construct via the classmethods: bump() for the exponential bump profile,
     meyer_shifted() for the ramp/window profile on [pi, 2*pi], from_table()
-    or from_table_file() for a tabulated profile, from_profile() for any
-    callable.
+    or from_table_file() for a tabulated profile, or the constructor itself
+    for any vectorized callable profile.
     """
 
     def __init__(self, alpha: float, beta: float, profile, kind: str = "custom"):
@@ -107,7 +105,6 @@ class BandWavelet:
         self.beta = float(beta)
         self.kind = kind
         self._profile = profile
-        self._lock = threading.Lock()
         self._psi0 = None
         self._reach = None
 
@@ -185,10 +182,6 @@ class BandWavelet:
             raise ValueError("profile file must have exactly two columns")
         return cls.from_table(data[:, 0], data[:, 1], alpha, beta)
 
-    @classmethod
-    def from_profile(cls, func, alpha: float, beta: float, kind: str = "custom") -> "BandWavelet":
-        return cls(alpha, beta, func, kind=kind)
-
     # -- Fourier side --------------------------------------------------------
 
     @property
@@ -206,9 +199,7 @@ class BandWavelet:
     def psi0(self) -> float:
         """psi(0) = (1/pi) * integral of the profile; also max |psi|."""
         if self._psi0 is None:
-            val = _band_integral(self.profile_values, self.alpha, self.beta, "psi(0)")
-            with self._lock:
-                self._psi0 = val / np.pi
+            self._psi0 = _band_integral(self.profile_values, self.alpha, self.beta, "psi(0)") / np.pi
         return self._psi0
 
     # -- time-domain reach --------------------------------------------------
@@ -236,10 +227,8 @@ class BandWavelet:
                 f"wavelet tail does not fall below {_TAIL_TOL} * max|psi| within |t| <= {_REACH_CAP}; "
                 "the profile is too rough for time-domain evaluation"
             )
-        reach = last_exceed + 2.0 * step
-        with self._lock:
-            self._reach = reach
-        return reach
+        self._reach = last_exceed + 2.0 * step
+        return self._reach
 
 
 def _profile_samples(w: BandWavelet, span: float):
@@ -263,11 +252,6 @@ def _envelope(w: BandWavelet, t_lo: float, step: float, m: int, span: float) -> 
     the profile samples for `span` (the phase exp(-i t alpha) drops out)."""
     d_xi, coef = _profile_samples(w, span)
     return np.abs(czt(coef, m=m, w=np.exp(-1j * step * d_xi), a=np.exp(1j * t_lo * d_xi))) / np.pi
-
-
-def psi_hat(w: BandWavelet, xi):
-    """Fourier profile of the wavelet at xi (even, zero outside the band)."""
-    return w.profile_values(xi)
 
 
 def k_const(w: BandWavelet, hurst: float) -> float:

@@ -7,6 +7,10 @@ tight tolerances for psi(0), the normalizing constant K_H, the wavelet
 variance and the covariance kernel entries, and the covariance kernel once
 more through its oscillatory double integral (no Plancherel step).
 
+The library's variogram builds the panel edges of its cumulative
+cos-power integral in one vectorized pass (mfbm.model._cum_panels); the
+per-lag loop it replaced is here as cum_panels_loop.
+
 The library's spectrum evaluates the coefficient sums through chirp-z
 transforms (mfbm.wavelet.spectrum), and its decay-reach scan evaluates psi
 by one more chirp-z transform. The literal routes are here: psi as a dense
@@ -23,7 +27,28 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from mfbm.errors import AnalysisError, DegeneratePathError, NumericError
+from mfbm.model import _GL_NODES, _GL_WEIGHTS, _PANEL_MAX_LEN, _SERIES_CUT
 from mfbm.wavelet import _REACH_CAP, _TAIL_TOL, WaveletSpectrum, _shift_range
+
+
+def cum_panels_loop(h, xs):
+    """mfbm.model._cum_panels with one np.linspace of panel edges per lag."""
+    edges = [np.array([_SERIES_CUT])]
+    prev = _SERIES_CUT
+    for x in xs:
+        n_sub = max(1, int(np.ceil((x - prev) / _PANEL_MAX_LEN)))
+        edges.append(np.linspace(prev, x, n_sub + 1)[1:])
+        prev = x
+    edges = np.concatenate(edges)
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    vals = (1.0 - np.cos(nodes)) * nodes ** (-2.0 * h - 1.0)
+    panel_sums = half * (vals @ _GL_WEIGHTS)
+    cum = np.concatenate(([0.0], np.cumsum(panel_sums)))
+    pos = np.searchsorted(edges, xs)
+    return cum[pos]
 
 
 def _quad(fn, lo, hi):

@@ -47,6 +47,16 @@ class TestSimulate:
                       "--delta", delta, "--out", tmp_path / "x.csv"])
             assert rc == 2
 
+    def test_no_size_cap(self, tmp_path):
+        """n above the old 8192 factorization cap draws and writes every row;
+        the cap's flag is gone."""
+        out = tmp_path / "big.csv"
+        argv = ["simulate", "--hurst", "0.6", "--sigma2", "1", "--n", "20000",
+                "--delta", "0.03", "--out", out]
+        assert run(argv) == 0
+        assert len(out.read_text().strip().splitlines()) == 20001
+        assert run(argv + ["--max-n", "30000"]) == 2
+
     def test_mismatched_model_exit_2(self, tmp_path):
         rc = run(["simulate", "--hurst", "0.6,0.2", "--sigma2", "1", "--n", "100",
                   "--delta", "0.03", "--out", tmp_path / "x.csv"])
@@ -189,14 +199,3 @@ class TestMontecarlo:
                   "--delta", "0.03", "--f-min", "0.5", "--f-max", "16",
                   "--replications", "0", "--out", tmp_path / "t.json"])
         assert rc == 2
-
-    def test_size_cap_exit_4(self, tmp_path, capsys):
-        """n above the factorization cap fails before any covariance is built,
-        and the message names the cap and the knobs that raise it."""
-        rc = run(["montecarlo", "--hurst", "0.6", "--sigma2", "1", "--n", "9000",
-                  "--delta", "0.03", "--f-min", "0.05", "--f-max", "20",
-                  "--replications", "2", "--out", tmp_path / "t.json"])
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert "cap 8192" in err and "--max-n" in err
-        assert not (tmp_path / "t.json").exists()

@@ -16,8 +16,10 @@ from mfbm import (
     variogram_constant,
 )
 from mfbm.errors import AnalysisError
+from mfbm.model import _SERIES_CUT, _cum_panels
 
 from conftest import random_model
+from oracles import cum_panels_loop
 
 FIG3 = ModelSpec(hurst=(0.9, 0.2, 0.5), sigma=(5.0, 5.0, 5.0), omega=(0.05, 0.5))
 
@@ -166,6 +168,37 @@ class TestVariogram:
     def test_negative_lag_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             variogram(FIG3, -1.0)
+
+
+class TestCumPanels:
+    def test_matches_loop_oracle(self):
+        """Bit-identical to the per-lag np.linspace loop on the arguments that
+        variogram hands _cum_panels (above the series cut, at every finite
+        change frequency of every regime) for the M1 grid lags and for all
+        pairwise lags of random times (every lag twice, as covariance_matrix
+        passes them); and on arguments that triple from one to the next,
+        where a gap wider than its start is cut into many panels and
+        prev + n_sub * step can miss x by an ulp (hence the pinned last edge)."""
+        m1 = ModelSpec(hurst=(0.2, 0.7), sigma=(np.sqrt(10.0), np.sqrt(5.0)), omega=(5.0,))
+        models = [(m1, 0.03 * np.arange(8194))]
+        rng = np.random.default_rng(8)
+        for i in range(6):
+            t = np.sort(rng.uniform(0.0, 40.0, size=30))
+            models.append((random_model(rng, k=1 + i % 2), np.abs(t[:, None] - t[None, :]).ravel()))
+        cases = []
+        for model, lags in models:
+            for j, h in enumerate(model.hurst):
+                for edge in model.band_edges[j : j + 2]:
+                    if 0.0 < edge < np.inf:
+                        xs = np.sort(lags * edge)
+                        cases.append((h, xs[xs > _SERIES_CUT]))
+        assert len(cases) == 2 + 3 * 2 + 3 * 4
+        rng = np.random.default_rng(9)
+        for _ in range(12):
+            xs = np.repeat(rng.uniform(1.0, 3.0, size=8) * 3.0 ** np.arange(8), 2)
+            cases.append((rng.uniform(0.05, 0.95), xs))
+        for h, xs in cases:
+            assert np.array_equal(_cum_panels(h, xs), cum_panels_loop(h, xs))
 
 
 class TestCovariance:

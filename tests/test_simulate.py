@@ -1,13 +1,13 @@
-"""Gaussian synthesis: factorization, jitter ladder, stream determinism, and
-distributional checks against the model covariance."""
+"""Gaussian synthesis: stream determinism, the circulant embedding against
+the model covariance, and distributional checks of the drawn paths."""
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from mfbm import ModelSpec, PathSampler, covariance_matrix, empirical_variogram
-from mfbm.errors import ResourceLimitError, SimulationError
-from mfbm.simulate import _cholesky_with_jitter, inverse_normal_cdf, standard_normals
+from mfbm.errors import SimulationError
+from mfbm.simulate import inverse_normal_cdf, standard_normals
 
 from conftest import FBM06
 
@@ -42,27 +42,12 @@ class TestStreams:
 
 
 class TestGaussianVector:
-    """The two pieces of every Gaussian draw: N(0, I) normals and the
-    jitter-ladder Cholesky factor that correlates them."""
+    """The N(0, I) normals that every Gaussian draw colours."""
 
     def test_identity_statistics(self):
         z = standard_normals(30_000, seed=1)
         assert abs(z.mean()) < 0.05
         assert abs(z.var() - 1.0) < 0.05
-
-    def test_zero_matrix(self):
-        assert np.array_equal(_cholesky_with_jitter(np.zeros((4, 4))), np.zeros((4, 4)))
-
-    def test_rank_one(self):
-        lower = _cholesky_with_jitter(np.ones((2, 2)))
-        for s in range(20):
-            x = lower @ standard_normals(2, seed=3, stream=s)
-            assert abs(x[0] - x[1]) <= 1e-4 * (1.0 + abs(x[0]))
-
-    def test_indefinite_fails_with_eigenvalue(self):
-        cov = np.diag([1.0, -0.5])
-        with pytest.raises(SimulationError, match="eigenvalue"):
-            _cholesky_with_jitter(cov)
 
 
 class TestSimulatePath:
@@ -70,13 +55,6 @@ class TestSimulatePath:
         a = PathSampler(ModelSpec.fbm(0.7, 1.0), 64, 0.1).draw(seed=9)
         b = PathSampler(ModelSpec.fbm(0.7, 1.0), 64, 0.1).draw(seed=9)
         assert np.array_equal(a.values, b.values)
-
-    def test_size_cap(self):
-        model = ModelSpec.fbm(0.5, 1.0)
-        with pytest.raises(ResourceLimitError, match="cap 32"):
-            PathSampler(model, 64, 0.01, max_n=32)
-        sampler = PathSampler(model, 64, 0.01, max_n=64)  # explicit override accepted
-        assert sampler.draw(seed=0).n == 64
 
     def test_rejects_bad_grid(self):
         """The grid is checked before any covariance is built."""
@@ -102,13 +80,36 @@ class TestSimulatePath:
             slopes.append(np.polyfit(np.log(lags), np.log(v), 1)[0])
         assert abs(np.mean(slopes) - 2 * FBM06["hurst"]) <= 0.1
 
+    @pytest.mark.parametrize("model, delta", [
+        (ModelSpec.fbm(FBM06["hurst"], 1.0), FBM06["delta"]),
+        (ModelSpec(hurst=(0.3, 0.7), sigma=(1.0, 0.5), omega=(2.0,)), 0.21),
+    ], ids=["fbm06", "two-regime"])
+    def test_embedding_covariance_exact(self, model, delta):
+        """The covariance that the stored circulant eigenvalues give the path
+        equals the model covariance matrix."""
+        n = 64
+        sampler = PathSampler(model, n, delta)
+        # Re fft(scale * z) has autocovariance sum_k scale_k^2 cos(2 pi m k / 2n)
+        row = np.fft.fft(sampler._scale**2).real[:n]
+        increments = row[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+        cumulate = np.tril(np.ones((n, n)))
+        implied = cumulate @ increments @ cumulate.T
+        cov = covariance_matrix(model, delta * np.arange(1, n + 1))
+        assert np.max(np.abs(implied - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+    def test_negative_embedding_rejected(self, monkeypatch):
+        """A variogram that is no variogram (t^2.5) gives an embedding with a
+        negative eigenvalue; the error names the min/max ratio."""
+        monkeypatch.setattr("mfbm.simulate.variogram", lambda model, t: np.asarray(t) ** 2.5)
+        with pytest.raises(SimulationError, match=r"min/max eigenvalue -\d\.\d\de-\d\d"):
+            PathSampler(ModelSpec.fbm(0.5, 1.0), 64, 0.1)
+
     def test_sample_covariance_matches_model(self):
         """Entrywise agreement with the exact covariance within 5 standard errors."""
         model = ModelSpec(hurst=(0.3, 0.7), sigma=(1.0, 0.5), omega=(2.0,))
         n, draws = 24, 50_000
         sampler = PathSampler(model, n, 0.21)
-        z = standard_normals(n * draws, seed=17).reshape(n, draws)
-        sample = sampler._lower @ z
+        sample = np.stack([sampler.draw(seed=17, stream=s).values for s in range(draws)], axis=1)
         emp = (sample @ sample.T) / draws
         cov = covariance_matrix(model, 0.21 * np.arange(1, n + 1))
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / draws)
@@ -119,8 +120,7 @@ class TestSimulatePath:
         model = ModelSpec(hurst=(0.25, 0.6), sigma=(1.0, 1.0), omega=(1.0,))
         n, draws, lag, groups = 64, 4000, 4, 6
         sampler = PathSampler(model, n, 0.1)
-        z = standard_normals(n * draws, seed=23).reshape(n, draws)
-        sample = sampler._lower @ z
+        sample = np.stack([sampler.draw(seed=23, stream=s).values for s in range(draws)], axis=1)
         inc = sample[lag:, :] - sample[:-lag, :]
         positions = np.linspace(0, inc.shape[0] - 1, groups).astype(int)
         variances = inc[positions].var(axis=1, ddof=1)

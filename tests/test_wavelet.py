@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mfbm import ModelSpec, SampledPath, build_grid, k_const, psi_hat, spectrum, theoretical_variance
+from mfbm import ModelSpec, SampledPath, build_grid, k_const, spectrum, theoretical_variance
 from mfbm.errors import DegeneratePathError, NumericError
 from mfbm.wavelet import BandWavelet, _envelope
 
@@ -18,31 +18,31 @@ FIG3 = ModelSpec(hurst=(0.9, 0.2, 0.5), sigma=(5.0, 5.0, 5.0), omega=(0.05, 0.5)
 def bump_table(samples):
     """The bump on [1, 2] tabulated uniformly strictly inside its band."""
     xs = np.linspace(1.0, 2.0, samples + 2)[1:-1]
-    return BandWavelet.from_table(xs, psi_hat(BandWavelet.bump(1.0, 2.0), xs), 1.0, 2.0)
+    return BandWavelet.from_table(xs, BandWavelet.bump(1.0, 2.0).profile_values(xs), 1.0, 2.0)
 
 
 class TestProfiles:
     def test_bump_outside_support(self, bump):
-        assert psi_hat(bump, 11.0) == 0.0
-        assert psi_hat(bump, 4.999) == 0.0
-        assert psi_hat(bump, 5.0) == 0.0
+        assert bump.profile_values(11.0) == 0.0
+        assert bump.profile_values(4.999) == 0.0
+        assert bump.profile_values(5.0) == 0.0
 
     def test_bump_midpoint(self, bump):
-        assert psi_hat(bump, 7.5) == pytest.approx(np.exp(-1.0 / 6.25), rel=1e-14)
+        assert bump.profile_values(7.5) == pytest.approx(np.exp(-1.0 / 6.25), rel=1e-14)
 
     def test_evenness(self, bump):
         rng = np.random.default_rng(1)
         xs = rng.uniform(-12, 12, 50)
-        assert np.allclose(psi_hat(bump, xs), psi_hat(bump, -xs), rtol=0)
+        assert np.allclose(bump.profile_values(xs), bump.profile_values(-xs), rtol=0)
 
     def test_meyer_window(self):
         w = BandWavelet.meyer_shifted()
         assert (w.alpha, w.beta) == (np.pi, 2 * np.pi)
-        assert psi_hat(w, np.pi) == 0.0
-        assert psi_hat(w, 2 * np.pi) == pytest.approx(0.0, abs=1e-15)
-        assert psi_hat(w, 1.5 * np.pi) == pytest.approx(1.0, rel=1e-12)
+        assert w.profile_values(np.pi) == 0.0
+        assert w.profile_values(2 * np.pi) == pytest.approx(0.0, abs=1e-15)
+        assert w.profile_values(1.5 * np.pi) == pytest.approx(1.0, rel=1e-12)
         xs = np.linspace(np.pi, 2 * np.pi, 101)
-        vals = psi_hat(w, xs)
+        vals = w.profile_values(xs)
         assert np.all(vals >= 0) and np.all(vals <= 1.0 + 1e-15)
 
     def test_custom_table_roundtrip(self, tmp_path):
@@ -52,9 +52,9 @@ class TestProfiles:
         np.savetxt(fname, np.column_stack([xs, vals]))
         w = BandWavelet.from_table_file(fname, 1.0, 2.0)
         assert w.kind == "custom-table"
-        assert psi_hat(w, 1.5) == pytest.approx(np.interp(1.5, xs, vals), rel=1e-12)
-        assert psi_hat(w, 0.99) == 0.0
-        assert psi_hat(w, 2.01) == 0.0
+        assert w.profile_values(1.5) == pytest.approx(np.interp(1.5, xs, vals), rel=1e-12)
+        assert w.profile_values(0.99) == 0.0
+        assert w.profile_values(2.01) == 0.0
 
     def test_custom_table_validation(self, tmp_path):
         fname = tmp_path / "bad.txt"
@@ -83,7 +83,7 @@ class TestProfiles:
 class TestTimeDomain:
     def test_positive_at_zero(self, bump):
         got = psi_time(bump, 0.0)
-        want = quad(lambda x: psi_hat(bump, x), 5, 10)[0] / np.pi
+        want = quad(bump.profile_values, 5, 10)[0] / np.pi
         assert got > 0
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -94,7 +94,7 @@ class TestTimeDomain:
 
     def test_matches_direct_quadrature(self, bump):
         for t in (0.3, 1.7, 6.55, 21.0):
-            want = quad(lambda x: psi_hat(bump, x) * np.cos(t * x), 5, 10,
+            want = quad(lambda x: bump.profile_values(x) * np.cos(t * x), 5, 10,
                         limit=500, epsabs=1e-14)[0] / np.pi
             assert psi_time(bump, t) == pytest.approx(want, abs=3e-6)
 
@@ -116,15 +116,15 @@ class TestTimeDomain:
 
 class TestKConst:
     def test_indicator_closed_forms(self):
-        ind = BandWavelet.from_profile(
-            lambda x: np.where((x >= 1.0) & (x <= 2.0), 1.0, 0.0), 1.0, 2.0
+        ind = BandWavelet(
+            1.0, 2.0, lambda x: np.where((x >= 1.0) & (x <= 2.0), 1.0, 0.0), kind="custom"
         )
         assert k_const(ind, 0.5) == pytest.approx(1.0, rel=1e-10)
         assert k_const(ind, 0.25) == pytest.approx(4.0 * (1.0 - 2.0**-0.5), rel=1e-10)
 
     def test_bump_against_dense_trapezoid(self, bump):
         u = np.linspace(5.0, 10.0, 1_000_001)
-        want = 2.0 * np.trapezoid(psi_hat(bump, u) ** 2 * u ** (-2 * 0.6 - 1.0), u)
+        want = 2.0 * np.trapezoid(bump.profile_values(u) ** 2 * u ** (-2 * 0.6 - 1.0), u)
         assert k_const(bump, 0.6) == pytest.approx(want, rel=1e-8)
 
     def test_domain(self, bump):
@@ -134,10 +134,11 @@ class TestKConst:
     def test_profile_with_a_jump_rejected(self):
         """The fixed band rule checks itself at half resolution; a profile that
         jumps inside the band fails that check (and has no finite decay reach)."""
-        step = BandWavelet.from_profile(
+        step = BandWavelet(
+            1.0, 2.0,
             lambda x: np.where((x >= 1.0) & (x < 1.37), 1.0,
                                np.where((x >= 1.37) & (x <= 2.0), 0.5, 0.0)),
-            1.0, 2.0,
+            kind="custom",
         )
         with pytest.raises(NumericError, match="normalizing constant"):
             k_const(step, 0.5)
