@@ -4,9 +4,7 @@ spectra, frequency change-point estimation and goodness-of-fit testing."""
 from .changepoint import (
     FrequencyGrid,
     Segmentation,
-    asymptotic_refine_targets,
     build_grid,
-    criterion_q,
     minimize_q,
     omega_hat,
     refine_points,
@@ -37,7 +35,6 @@ from .model import (
     SampledPath,
     covariance,
     covariance_matrix,
-    empirical_variogram,
     spectral_weight,
     variogram,
     variogram_asymptotes,

@@ -20,11 +20,9 @@ __all__ = [
     "FrequencyGrid",
     "Segmentation",
     "build_grid",
-    "criterion_q",
     "minimize_q",
     "omega_hat",
     "refine_points",
-    "asymptotic_refine_targets",
 ]
 
 MIN_SEGMENT_POINTS = 3  # an OLS line needs 2; 3 guards zero-variance degeneracy
@@ -130,21 +128,6 @@ def _check_admissible(t, grid: FrequencyGrid):
         if b - a <= grid.tau_n:
             raise ValueError(f"segment ({a}, {b}] shorter than the transition length {grid.tau_n}")
     return t
-
-
-def criterion_q(y: np.ndarray, grid: FrequencyGrid, t, lines) -> float:
-    """Summed squared residuals sum_j sum_{i=t_j+1}^{t_{j+1}-tau_n} (y_i - slope_j log f_i - icept_j)^2."""
-    t = _check_admissible(t, grid)
-    if len(lines) != len(t) - 1:
-        raise ValueError(f"need {len(t) - 1} lines for {len(t) - 2} changes, got {len(lines)}")
-    y = np.asarray(y, dtype=float)
-    x = grid.log_f
-    total = 0.0
-    for j, (slope, icept) in enumerate(lines):
-        idx = np.arange(t[j] + 1, t[j + 1] - grid.tau_n + 1)
-        resid = y[idx] - slope * x[idx] - icept
-        total += float(resid @ resid)
-    return total
 
 
 class _SegmentCosts:
@@ -272,22 +255,3 @@ def refine_points(t, grid: FrequencyGrid, m: int):
             )
         out.append(t[j] + step * np.arange(1, m + 1))
     return out
-
-
-def asymptotic_refine_targets(omega, f_min, f_max, alpha, beta, m):
-    """Limit frequencies of the refine points as the grid refines.
-
-    Segment j spans grid frequencies from L_j (f_min/beta for j = 0, else
-    omega_j / alpha) up to R_j (omega_{j+1} / beta before a change,
-    f_max / alpha for the last segment); point k sits at
-    L_j (R_j / L_j)^(k / (m+1)).
-    """
-    omega = tuple(float(w) for w in np.atleast_1d(omega)) if np.size(omega) else ()
-    k_changes = len(omega)
-    targets = []
-    ks = np.arange(1, m + 1)
-    for j in range(k_changes + 1):
-        lo = f_min / beta if j == 0 else omega[j - 1] / alpha
-        hi = f_max / alpha if j == k_changes else omega[j] / beta
-        targets.append(lo * (hi / lo) ** (ks / (m + 1.0)))
-    return targets

@@ -219,19 +219,18 @@ def _write_json(path, payload):
 
 
 def _write_csv(path, header, rows):
+    """csv writes a float field as its repr, so values round-trip exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)
 
 
 def _cmd_simulate(args) -> int:
     model = _model_from_args(args)
     sampler = PathSampler(model, args.n, args.delta)
     path = sampler.draw(args.seed, stream=args.stream)
-    _write_csv(args.out, ["time", "value"],
-               [(float(t), float(v)) for t, v in zip(path.times, path.values)])
+    _write_csv(args.out, ["time", "value"], zip(path.times.tolist(), path.values.tolist()))
     meta = {
         "command": "simulate",
         "model": {"hurst": list(args.hurst), "sigma2": list(args.sigma2),

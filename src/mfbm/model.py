@@ -29,7 +29,6 @@ __all__ = [
     "variogram_asymptotes",
     "covariance",
     "covariance_matrix",
-    "empirical_variogram",
 ]
 
 
@@ -302,12 +301,3 @@ def covariance_matrix(model: ModelSpec, times) -> np.ndarray:
     lags = np.abs(t[:, None] - t[None, :])
     vlag = variogram(model, lags.ravel()).reshape(lags.shape)
     return 0.5 * (v[:, None] + v[None, :] - vlag)
-
-
-def empirical_variogram(path: SampledPath, lag: int) -> float:
-    """Mean squared increment at integer lag: (N-lag)^-1 sum (X_(i+lag) - X_i)^2."""
-    lag = int(lag)
-    if not 1 <= lag < path.n:
-        raise ValueError(f"lag must be in [1, {path.n - 1}], got {lag}")
-    diff = path.values[lag:] - path.values[:-lag]
-    return float(np.mean(diff**2))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.signal import czt
+from scipy.fft import fft, ifft, next_fast_len
 
 from .changepoint import FrequencyGrid
 from .errors import AnalysisError, DegeneratePathError, NumericError
@@ -247,11 +247,32 @@ def _profile_samples(w: BandWavelet, span: float):
     return d_xi, wts * w.profile_values(xi)
 
 
+def _chirp_z(x: np.ndarray, m: int, theta: float, phi0: float) -> np.ndarray:
+    """Chirp-z transform sum_j x_j exp(-i (phi0 + theta k) j), k = 0..m-1.
+
+    Bluestein's algorithm (Rabiner, Schafer and Rader 1969): with
+    j k = (j^2 + k^2 - (k - j)^2) / 2 the sum becomes one linear convolution
+    with the chirp exp(i theta l^2 / 2), done by FFTs of a fast length. The
+    chirp is built from real phases, so each entry is exact to rounding of
+    its phase.
+    """
+    n = x.size
+    size = next_fast_len(n + m - 1)
+    j = np.arange(max(n, m), dtype=float)
+    half_phase = 0.5 * theta * j * j
+    chirp = np.exp(-1j * half_phase)
+    head = np.exp(-1j * (half_phase[:n] + phi0 * j[:n]))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = chirp[:m].conj()
+    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    return ifft(fft(x * head, size) * fft(kernel))[:m] * chirp[:m]
+
+
 def _envelope(w: BandWavelet, t_lo: float, step: float, m: int, span: float) -> np.ndarray:
     """|psi(t)| at t = t_lo + k step, k = 0..m-1, as one chirp-z transform of
     the profile samples for `span` (the phase exp(-i t alpha) drops out)."""
     d_xi, coef = _profile_samples(w, span)
-    return np.abs(czt(coef, m=m, w=np.exp(-1j * step * d_xi), a=np.exp(1j * t_lo * d_xi))) / np.pi
+    return np.abs(_chirp_z(coef, m, step * d_xi, t_lo * d_xi)) / np.pi
 
 
 def k_const(w: BandWavelet, hurst: float) -> float:
@@ -316,14 +337,14 @@ def _scale_coeffs_czt(path: SampledPath, w: BandWavelet, a: float, m0: int, m1: 
     alpha = w.alpha
     d_xi, coef = _profile_samples(w, n * delta / a + reach + 16.0)
 
-    # D_q = sum_{p=0}^{n-1} X(p delta) exp(-i xi_q p delta / a); X(0) = 0 occupies slot 0
+    # D_q = sum_{p=0}^{n-1} X(p delta) exp(-i xi_q p delta / a), xi_q = alpha + q d_xi;
+    # X(0) = 0 occupies slot 0
     step = delta / a
-    xs = np.zeros(n, dtype=complex)
-    xs[1:] = path.values[: n - 1] * np.exp(-1j * alpha * step * np.arange(1, n))
-    d = czt(xs, m=coef.size, w=np.exp(-1j * d_xi * step), a=1.0 + 0.0j)
+    xs = np.zeros(n)
+    xs[1:] = path.values[: n - 1]
+    d = _chirp_z(xs, coef.size, d_xi * step, alpha * step)
     # e_k = (delta / (pi sqrt(a))) Re[ exp(i alpha k delta) * sum_q c_q D_q exp(i q d_xi k delta) ]
-    inner = czt(coef * d, m=m1 - m0 + 1,
-                w=np.exp(1j * d_xi * delta), a=np.exp(-1j * d_xi * delta * m0))
+    inner = _chirp_z(coef * d, m1 - m0 + 1, -d_xi * delta, -d_xi * delta * m0)
     k = np.arange(m0, m1 + 1)
     e = (delta / (np.pi * np.sqrt(a))) * np.real(np.exp(1j * alpha * k * delta) * inner)
     return e

@@ -13,19 +13,29 @@ per-lag loop it replaced is here as cum_panels_loop.
 
 The library's spectrum evaluates the coefficient sums through chirp-z
 transforms (mfbm.wavelet.spectrum), and its decay-reach scan evaluates psi
-by one more chirp-z transform. The literal routes are here: psi as a dense
-trapezoid sum over the band, the reach scan on that sum, psi tabulated in
-the time domain and interpolated cubically, every coefficient summed over
-the samples where psi is nonzero, and the log-variance spectrum built from
-those sums. Tests compare the library against them.
+by one more chirp-z transform; both run through the library's own Bluestein
+transform, whose reference is scipy.signal.czt (czt_reference). The
+literal routes are here: psi as a dense trapezoid sum over the band, the
+reach scan on that sum, psi tabulated in the time domain and interpolated
+cubically, every coefficient summed over the samples where psi is nonzero,
+and the log-variance spectrum built from those sums. Tests compare the
+library against them.
+
+Quantities the pipeline never computes but the tests check it with live
+here too: the empirical variogram of a path, the segmentation criterion Q
+for given lines, and the limit frequencies of the refine points. The
+per-row CSV loop that mfbm.cli._write_csv replaced is write_csv_loop.
 """
 
+import csv
 import functools
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.signal import czt
 
+from mfbm.changepoint import _check_admissible
 from mfbm.errors import AnalysisError, DegeneratePathError, NumericError
 from mfbm.model import _GL_NODES, _GL_WEIGHTS, _PANEL_MAX_LEN, _SERIES_CUT
 from mfbm.wavelet import _REACH_CAP, _TAIL_TOL, WaveletSpectrum, _shift_range
@@ -327,3 +337,60 @@ def direct_spectrum(path, w, grid, r=0.1):
             )
         y[i] = np.log(j)
     return WaveletSpectrum(grid=grid, y=y, r=r, counts=counts)
+
+
+def czt_reference(x, m, theta, phi0):
+    """mfbm.wavelet._chirp_z by scipy.signal.czt: sum_j x_j exp(-i (phi0 + theta k) j)."""
+    return czt(x, m=m, w=np.exp(-1j * theta), a=np.exp(1j * phi0))
+
+
+def empirical_variogram(path, lag):
+    """Mean squared increment at integer lag: (N-lag)^-1 sum (X_(i+lag) - X_i)^2."""
+    lag = int(lag)
+    if not 1 <= lag < path.n:
+        raise ValueError(f"lag must be in [1, {path.n - 1}], got {lag}")
+    diff = path.values[lag:] - path.values[:-lag]
+    return float(np.mean(diff**2))
+
+
+def criterion_q(y, grid, t, lines):
+    """Summed squared residuals sum_j sum_{i=t_j+1}^{t_{j+1}-tau_n} (y_i - slope_j log f_i - icept_j)^2."""
+    t = _check_admissible(t, grid)
+    if len(lines) != len(t) - 1:
+        raise ValueError(f"need {len(t) - 1} lines for {len(t) - 2} changes, got {len(lines)}")
+    y = np.asarray(y, dtype=float)
+    x = grid.log_f
+    total = 0.0
+    for j, (slope, icept) in enumerate(lines):
+        idx = np.arange(t[j] + 1, t[j + 1] - grid.tau_n + 1)
+        resid = y[idx] - slope * x[idx] - icept
+        total += float(resid @ resid)
+    return total
+
+
+def asymptotic_refine_targets(omega, f_min, f_max, alpha, beta, m):
+    """Limit frequencies of the refine points as the grid refines.
+
+    Segment j spans grid frequencies from L_j (f_min/beta for j = 0, else
+    omega_j / alpha) up to R_j (omega_{j+1} / beta before a change,
+    f_max / alpha for the last segment); point k sits at
+    L_j (R_j / L_j)^(k / (m+1)).
+    """
+    omega = tuple(float(w) for w in np.atleast_1d(omega)) if np.size(omega) else ()
+    k_changes = len(omega)
+    targets = []
+    ks = np.arange(1, m + 1)
+    for j in range(k_changes + 1):
+        lo = f_min / beta if j == 0 else omega[j - 1] / alpha
+        hi = f_max / alpha if j == k_changes else omega[j] / beta
+        targets.append(lo * (hi / lo) ** (ks / (m + 1.0)))
+    return targets
+
+
+def write_csv_loop(path, header, rows):
+    """mfbm.cli._write_csv as a per-row loop that formats every float by repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])

@@ -5,9 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from mfbm import build_grid, criterion_q, minimize_q, omega_hat, refine_points
-from mfbm.changepoint import MIN_SEGMENT_POINTS, asymptotic_refine_targets
+from mfbm import build_grid, minimize_q, omega_hat, refine_points
+from mfbm.changepoint import MIN_SEGMENT_POINTS
 from mfbm.errors import AnalysisError, SegmentTooShortError
+
+from oracles import asymptotic_refine_targets, criterion_q
 
 
 def exhaustive_min(y, grid, k, min_points=MIN_SEGMENT_POINTS):

@@ -8,7 +8,10 @@ import pytest
 
 import mfbm.cli as cli
 import mfbm.inference as inference
+from mfbm import ModelSpec, PathSampler
 from mfbm.cli import _load_config_args, main
+
+from oracles import write_csv_loop
 
 
 def run(argv):
@@ -40,6 +43,21 @@ class TestSimulate:
         assert run(argv + ["--out", a]) == 0
         assert run(argv + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bytes_match_per_row_writer(self, sim_path, tmp_path):
+        """The CSV writer gives the bytes of the per-row repr loop it replaced,
+        on the simulated path and on mixed rows like the overlay's."""
+        path = PathSampler(ModelSpec.fbm(0.6, 1.0), 1500, 0.03).draw(5, stream=0)
+        ref = tmp_path / "ref.csv"
+        write_csv_loop(ref, ["time", "value"],
+                       [(float(t), float(v)) for t, v in zip(path.times, path.values)])
+        assert sim_path.read_bytes() == ref.read_bytes()
+        rows = [(0, 0.1, -1e-300, 2.0, "", "excluded", "", ""),
+                (7, 1 / 3, 5e17, -0.0, 1, "refine", 0.25, float("inf"))]
+        header = ["k", "f", "log_f", "Y", "segment", "role", "fit_ols", "fit_fgls"]
+        cli._write_csv(tmp_path / "new.csv", header, rows)
+        write_csv_loop(ref, header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == ref.read_bytes()
 
     def test_bad_n_exit_2(self, tmp_path):
         for n, delta in (("0", "0.03"), ("100", "0")):

@@ -9,7 +9,6 @@ from mfbm import (
     SampledPath,
     covariance,
     covariance_matrix,
-    empirical_variogram,
     spectral_weight,
     variogram,
     variogram_asymptotes,
@@ -19,7 +18,7 @@ from mfbm.errors import AnalysisError
 from mfbm.model import _SERIES_CUT, _cum_panels
 
 from conftest import random_model
-from oracles import cum_panels_loop
+from oracles import cum_panels_loop, empirical_variogram
 
 FIG3 = ModelSpec(hurst=(0.9, 0.2, 0.5), sigma=(5.0, 5.0, 5.0), omega=(0.05, 0.5))
 

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from mfbm import ModelSpec, PathSampler, covariance_matrix, empirical_variogram
+from mfbm import ModelSpec, PathSampler, covariance_matrix
 from mfbm.errors import SimulationError
 from mfbm.simulate import inverse_normal_cdf, standard_normals
 
 from conftest import FBM06
+from oracles import empirical_variogram
 
 
 class TestInverseNormalCdf:

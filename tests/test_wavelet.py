@@ -2,15 +2,28 @@
 coefficient sums, the log-variance spectrum and the decay reach (chirp-z
 routes vs the literal dense-sum and time-domain oracles)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import mfbm.wavelet as wavelet
 from mfbm import ModelSpec, SampledPath, build_grid, k_const, spectrum, theoretical_variance
 from mfbm.errors import DegeneratePathError, NumericError
-from mfbm.wavelet import BandWavelet, _envelope
+from mfbm.wavelet import BandWavelet, _envelope, _scale_coeffs_czt, _shift_range
 
-from oracles import build_table, dense_reach, direct_spectrum, empirical_coeff, fourier_sum, psi_time
+from oracles import (
+    build_table,
+    czt_reference,
+    dense_reach,
+    direct_spectrum,
+    empirical_coeff,
+    fourier_sum,
+    psi_time,
+)
 
 FIG3 = ModelSpec(hurst=(0.9, 0.2, 0.5), sigma=(5.0, 5.0, 5.0), omega=(0.05, 0.5))
 
@@ -262,7 +275,6 @@ class TestSpectrum:
         """Monte Carlo mean of the empirical coefficient variance at one scale
         matches the exact value within 3 standard errors (200 replications)."""
         from mfbm import PathSampler
-        from mfbm.wavelet import _scale_coeffs_czt, _shift_range
 
         model = ModelSpec.fbm(0.6, 1.0)
         n, delta, a = 1500, 0.03, 1.25
@@ -303,3 +315,64 @@ class TestReach:
             fast = _envelope(w, t_lo, step, ts.size, span=guard)
             assert np.max(np.abs(fast - env)) <= 1e-12 * w.psi0
         assert w.decay_reach() == reach == want
+
+
+def recorded_chirp_z(monkeypatch):
+    """Patch the library's chirp-z transform to log (x, m, theta, phi0, result)."""
+    calls = []
+    own = wavelet._chirp_z
+
+    def record(x, m, theta, phi0):
+        out = own(x, m, theta, phi0)
+        calls.append((x, m, theta, phi0, out))
+        return out
+
+    monkeypatch.setattr(wavelet, "_chirp_z", record)
+    return calls
+
+
+def assert_matches_czt(calls, tol=1e-9):
+    """Agreement relative to sum_j |x_j|, the bound on every output. The far
+    blocks of the reach scan cancel down to 1e-11 of that bound, so their
+    own maximum is no scale for rounding error."""
+    for x, m, theta, phi0, out in calls:
+        ref = czt_reference(x, m, theta, phi0)
+        assert np.max(np.abs(out - ref)) <= tol * np.sum(np.abs(x))
+
+
+class TestChirpZ:
+    @pytest.mark.parametrize("a", [0.06, 0.25, 12.5])
+    def test_scale_stages_match_scipy(self, bump, fbm06_paths, monkeypatch, a):
+        """Both stages of one scale agree with scipy.signal.czt: the first over
+        the n = 6000 path (m about 3000 at a = 0.06, start phase alpha delta / a),
+        the inner one with negative step starting at shift m0."""
+        path = fbm06_paths[0]
+        calls = recorded_chirp_z(monkeypatch)
+        m0, m1 = _shift_range(path.n, a, 0.1)
+        _scale_coeffs_czt(path, bump, a, m0, m1, bump.decay_reach())
+        (x1, _, theta1, phi1, _), (_, m2, theta2, phi2, _) = calls
+        assert x1.size == path.n and phi1 == pytest.approx(bump.alpha * path.delta / a)
+        assert theta2 < 0 and m2 == m1 - m0 + 1 and phi2 == pytest.approx(theta2 * m0)
+        assert_matches_czt(calls)
+
+    def test_reach_scan_matches_scipy(self, monkeypatch):
+        """Every block of a fresh decay-reach scan agrees with scipy.signal.czt."""
+        calls = recorded_chirp_z(monkeypatch)
+        BandWavelet.bump(5.0, 10.0).decay_reach()
+        assert len(calls) >= 3
+        assert_matches_czt(calls)
+
+    @pytest.mark.parametrize("n, m", [(1, 4), (4, 1), (7, 7), (100, 513)])
+    def test_small_shapes_match_scipy(self, n, m):
+        rng = np.random.default_rng(n * 1000 + m)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        out = wavelet._chirp_z(x, m, 0.37, -1.1)
+        assert out.shape == (m,)
+        assert_matches_czt([(x, m, 0.37, -1.1, out)])
+
+    def test_import_leaves_scipy_signal_out(self):
+        """Neither the library nor its CLI loads scipy.signal (about 0.9 s of import)."""
+        src = os.path.dirname(os.path.dirname(wavelet.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = "import mfbm, mfbm.cli, sys; assert 'scipy.signal' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
