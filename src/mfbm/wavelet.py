@@ -6,15 +6,21 @@ variance of its coefficients at scale a is an exact power law in a inside
 a single spectral regime; that identity is what the whole estimation
 pipeline regresses on.
 
-The spectrum is computed from the coefficients' Riemann sums
-(delta / sqrt(a)) * sum_p psi(p delta / a - k delta) X(p delta) through a
-chirp-z transform: sampling the Fourier profile on a uniform grid of
-spacing d_xi makes the effective time-domain kernel the
-2*pi/d_xi-periodization of psi, so choosing d_xi small enough keeps the
-wrap-around images below the tail tolerance that defines the wavelet's
-decay reach. The reach itself is found by scanning |psi| on a uniform time
-grid, which is one more chirp-z transform of the same profile samples: the
-library has a single route for Fourier sums of the profile.
+The spectrum is the log mean square of the coefficients' Riemann sums
+(delta / sqrt(a)) * sum_p psi(p delta / a - k delta) X(p delta) over the
+retained shifts k, and no coefficient is ever formed. Sampling the Fourier
+profile on a uniform grid of spacing d_xi (a trapezoid rule) makes the
+effective time-domain kernel the 2*pi/d_xi-periodization of psi, so a d_xi
+small enough keeps the wrap-around images below the tail tolerance that
+defines the wavelet's decay reach. The samples need the path's Fourier sum
+at frequencies xi delta / a; scales within a factor 2 of each other share
+one zoom (chirp-z) transform of the path on a lattice fine enough for the
+largest of them, and each scale takes the lattice nodes inside its band.
+The mean square over the shifts is then exact algebra: the autocorrelation
+and self-convolution of the scale's samples, from one FFT, summed against
+Dirichlet kernels. The reach itself is found by scanning |psi| on a
+uniform time grid, which is one more chirp-z transform of profile samples:
+the library has a single route for Fourier sums.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.fft import fft, ifft, next_fast_len
 
 from .changepoint import FrequencyGrid
-from .errors import AnalysisError, DegeneratePathError, NumericError
+from .errors import DegeneratePathError, NumericError
 from .model import ModelSpec, SampledPath
 
 __all__ = [
@@ -39,6 +45,10 @@ __all__ = [
 
 _TAIL_TOL = 1e-10
 _REACH_CAP = 8192.0
+# Fourier-side quadrature: at least this many trapezoid segments across the band
+_MIN_SEGMENTS = 128
+# spectrum: scales within this ratio of each other share one zoom transform of the path
+_GROUP_RATIO = 2.0
 
 # Band integrals: a fixed composite Gauss-Legendre rule, checked against the
 # same rule on fewer panels. Both rules' nodes on [0, 1] are precomputed and
@@ -238,7 +248,7 @@ def _profile_samples(w: BandWavelet, span: float):
     The spacing d_xi <= 2*pi / span puts the images of the periodized sum at
     least `span` apart in t.
     """
-    n_seg = max(128, int(np.ceil((w.beta - w.alpha) * span / (2.0 * np.pi))) + 1)
+    n_seg = max(_MIN_SEGMENTS, int(np.ceil((w.beta - w.alpha) * span / (2.0 * np.pi))) + 1)
     xi = np.linspace(w.alpha, w.beta, n_seg + 1)
     d_xi = xi[1] - xi[0]
     wts = np.full(n_seg + 1, d_xi)
@@ -323,31 +333,42 @@ def _shift_range(n: int, a: float, r: float):
     return m0, m1
 
 
-def _scale_coeffs_czt(path: SampledPath, w: BandWavelet, a: float, m0: int, m1: int,
-                      reach: float) -> np.ndarray:
-    """All coefficients e(a, k delta), k = m0..m1, via two chirp-z transforms.
+def _dirichlet(x: np.ndarray, count: int) -> np.ndarray:
+    """Dirichlet kernel sum_k exp(i x k) over `count` consecutive k centred on 0,
+    i.e. sin(count x / 2) / sin(x / 2), at real x.
 
-    Equivalent to the time-domain Riemann sum over |p delta / a - k delta| <=
-    reach: the profile is sampled on a grid fine enough that the periodized
-    kernel's images stay below the reach's tail tolerance over every argument
-    the sum visits.
+    Both sines are taken at x reduced by 2 pi j to [-pi, pi], with the sign
+    (-1)^(j (count - 1)) that the reduction costs, and the limit count where
+    the reduced x is zero.
     """
-    delta = path.delta
-    n = path.n
-    alpha = w.alpha
-    d_xi, coef = _profile_samples(w, n * delta / a + reach + 16.0)
+    turns = np.rint(x * (0.5 / np.pi))
+    half = 0.5 * x - np.pi * turns
+    sign = 1 - 2 * ((count - 1) % 2 * turns.astype(np.int64) % 2)
+    den = np.sin(half)
+    limit = np.full(x.shape, float(count))
+    return sign * np.divide(np.sin(count * half), den, out=limit, where=den != 0.0)
 
-    # D_q = sum_{p=0}^{n-1} X(p delta) exp(-i xi_q p delta / a), xi_q = alpha + q d_xi;
-    # X(0) = 0 occupies slot 0
-    step = delta / a
-    xs = np.zeros(n)
-    xs[1:] = path.values[: n - 1]
-    d = _chirp_z(xs, coef.size, d_xi * step, alpha * step)
-    # e_k = (delta / (pi sqrt(a))) Re[ exp(i alpha k delta) * sum_q c_q D_q exp(i q d_xi k delta) ]
-    inner = _chirp_z(coef * d, m1 - m0 + 1, -d_xi * delta, -d_xi * delta * m0)
-    k = np.arange(m0, m1 + 1)
-    e = (delta / (np.pi * np.sqrt(a))) * np.real(np.exp(1j * alpha * k * delta) * inner)
-    return e
+
+def _mean_square(v: np.ndarray, phase0: float, phase_step: float, m0: int, m1: int) -> float:
+    """Mean over k = m0..m1 of (Re g_k)^2, g_k = sum_q v_q exp(i (phase0 + q phase_step) k),
+    without forming any g_k.
+
+    (Re g)^2 = (|g|^2 + Re g^2) / 2. Summed over the shifts, counted from
+    their centre (m0 + m1) / 2, the two terms are the autocorrelation R and
+    the self-convolution P of the recentred v against real Dirichlet kernels:
+    sum |g_k|^2 = sum_d R(d) D(d phase_step) and
+    sum g_k^2 = sum_s P(s) D(2 phase0 + s phase_step). R and P come from one
+    FFT of v.
+    """
+    m = v.size
+    count = m1 - m0 + 1
+    steps = phase_step * np.arange(2 * m - 1)
+    spec = fft(v * np.exp(0.5j * (m0 + m1) * (phase0 + steps[:m])), next_fast_len(2 * m - 1))
+    auto = ifft(spec * spec.conj())[:m].real  # R(d), d >= 0; R(-d) = conj R(d)
+    conv = ifft(spec * spec)[: 2 * m - 1].real
+    modulus = count * auto[0] + 2.0 * (auto[1:] @ _dirichlet(steps[1:m], count))
+    square = conv @ _dirichlet(2.0 * phase0 + steps, count)
+    return 0.5 * (modulus + square) / count
 
 
 def spectrum(path: SampledPath, w: BandWavelet, grid: FrequencyGrid,
@@ -360,23 +381,44 @@ def spectrum(path: SampledPath, w: BandWavelet, grid: FrequencyGrid,
     if not 0.0 < r < 1.0 / 3.0:
         raise ValueError("trimming fraction must lie in (0, 1/3)")
     n = path.n
-    reach = w.decay_reach()
+    delta = path.delta
+    # at scale a the kernel's images must lie n delta / a + reach + 16 apart in time:
+    # a node spacing of at most 2 pi / (n + a pad) in omega = xi delta / a
+    pad = (w.decay_reach() + 16.0) / delta
+    xs = np.zeros(n)
+    xs[1:] = path.values[: n - 1]  # X(0) = 0 occupies slot 0
+    scales = 1.0 / grid.f
+    groups = []  # scales from the largest down; a group spans a ratio of at most _GROUP_RATIO
+    for i in np.argsort(grid.f):
+        if groups and _GROUP_RATIO * scales[i] >= scales[groups[-1][0]]:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
     y = np.empty(grid.f.size)
     counts = np.empty(grid.f.size, dtype=int)
-    for i, f in enumerate(grid.f):
-        a = 1.0 / f
-        m0, m1 = _shift_range(n, a, r)
-        if m1 < m0:
-            raise AnalysisError(
-                f"no usable shifts at frequency {f:.6g} (scale {a:.6g}); "
-                f"need n * f_min / beta >= 10, got {n * grid.f_min / grid.beta:.3g}"
-            )
-        e = _scale_coeffs_czt(path, w, a, m0, m1, reach)
-        j = float(np.mean(e * e))
-        counts[i] = m1 - m0 + 1
-        if not np.isfinite(j) or j <= 0.0:
-            raise DegeneratePathError(
-                f"zero wavelet energy at frequency {f:.6g}; the path carries no signal there"
-            )
-        y[i] = np.log(j)
+    for group in groups:
+        a_hi = scales[group[0]]
+        # one zoom DFT D(omega) = sum_p X(p delta) exp(-i omega p) on a lattice fine
+        # enough for the largest scale of the group, hence for all of them
+        step = min(2.0 * np.pi / (n + a_hi * pad), (w.beta - w.alpha) * delta / (_MIN_SEGMENTS * a_hi))
+        lo = w.alpha * delta / a_hi
+        size = int((w.beta * delta / scales[group[-1]] - lo) / step) + 2
+        d = _chirp_z(xs, size, step, lo)
+        for i in group:
+            a = scales[i]
+            # every lattice node inside the band [alpha, beta] in xi = omega a / delta:
+            # the trapezoid rule there has weight step a / delta at every node
+            q = np.arange(max(0, int(np.ceil((w.alpha * delta / a - lo) / step))),
+                          int(np.floor((w.beta * delta / a - lo) / step)) + 1)
+            phases = a * (lo + step * q)  # xi_q delta
+            v = (step * a / delta) * w.profile_values(phases / delta) * d[q]
+            m0, m1 = _shift_range(n, a, r)
+            # e_k = (delta / (pi sqrt(a))) Re sum_q v_q exp(i xi_q k delta)
+            j = (delta / np.pi) ** 2 / a * _mean_square(v, phases[0], a * step, m0, m1)
+            counts[i] = m1 - m0 + 1
+            if not np.isfinite(j) or j <= 0.0:
+                raise DegeneratePathError(
+                    f"zero wavelet energy at frequency {grid.f[i]:.6g}; the path carries no signal there"
+                )
+            y[i] = np.log(j)
     return WaveletSpectrum(grid=grid, y=y, r=r, counts=counts)

@@ -11,15 +11,18 @@ The library's variogram builds the panel edges of its cumulative
 cos-power integral in one vectorized pass (mfbm.model._cum_panels); the
 per-lag loop it replaced is here as cum_panels_loop.
 
-The library's spectrum evaluates the coefficient sums through chirp-z
-transforms (mfbm.wavelet.spectrum), and its decay-reach scan evaluates psi
-by one more chirp-z transform; both run through the library's own Bluestein
+The library's spectrum takes one zoom chirp-z transform of the path per
+octave of scales and the mean square of each scale's coefficients in closed
+form (mfbm.wavelet.spectrum), and its decay-reach scan evaluates psi by one
+more chirp-z transform; both run through the library's own Bluestein
 transform, whose reference is scipy.signal.czt (czt_reference). The
-literal routes are here: psi as a dense trapezoid sum over the band, the
-reach scan on that sum, psi tabulated in the time domain and interpolated
-cubically, every coefficient summed over the samples where psi is nonzero,
-and the log-variance spectrum built from those sums. Tests compare the
-library against them.
+literal routes are here: the per-scale route that builds every coefficient
+by two chirp-z transforms per scale and averages their squares
+(per_scale_spectrum_reference, scale_coeffs_reference), psi as a dense
+trapezoid sum over the band, the reach scan on that sum, psi tabulated in
+the time domain and interpolated cubically, every coefficient summed over
+the samples where psi is nonzero, and the log-variance spectrum built from
+those sums. Tests compare the library against them.
 
 Quantities the pipeline never computes but the tests check it with live
 here too: the empirical variogram of a path, the segmentation criterion Q
@@ -38,7 +41,14 @@ from scipy.signal import czt
 from mfbm.changepoint import _check_admissible
 from mfbm.errors import AnalysisError, DegeneratePathError, NumericError
 from mfbm.model import _GL_NODES, _GL_WEIGHTS, _PANEL_MAX_LEN, _SERIES_CUT
-from mfbm.wavelet import _REACH_CAP, _TAIL_TOL, WaveletSpectrum, _shift_range
+from mfbm.wavelet import (
+    _REACH_CAP,
+    _TAIL_TOL,
+    WaveletSpectrum,
+    _chirp_z,
+    _profile_samples,
+    _shift_range,
+)
 
 
 def cum_panels_loop(h, xs):
@@ -329,6 +339,69 @@ def direct_spectrum(path, w, grid, r=0.1):
                 f"need n * f_min / beta >= 10, got {n * grid.f_min / grid.beta:.3g}"
             )
         e = np.array([empirical_coeff(path, w, a, k) for k in range(m0, m1 + 1)])
+        j = float(np.mean(e * e))
+        counts[i] = m1 - m0 + 1
+        if not np.isfinite(j) or j <= 0.0:
+            raise DegeneratePathError(
+                f"zero wavelet energy at frequency {f:.6g}; the path carries no signal there"
+            )
+        y[i] = np.log(j)
+    return WaveletSpectrum(grid=grid, y=y, r=r, counts=counts)
+
+
+def scale_samples_reference(path, w, a, reach):
+    """Stage 1 of the per-scale route at scale a: (phase0, phase_step, v) with
+    e_k = (delta / (pi sqrt(a))) Re sum_q v_q exp(i (phase0 + q phase_step) k).
+
+    The profile is sampled on its own uniform grid xi_q = alpha + q d_xi over the
+    band, fine enough for the span n delta / a + reach + 16, and
+    v_q = coef_q D_q with D_q = sum_p X(p delta) exp(-i xi_q p delta / a): one
+    chirp-z transform of the path per scale.
+    """
+    delta = path.delta
+    n = path.n
+    d_xi, coef = _profile_samples(w, n * delta / a + reach + 16.0)
+    step = delta / a
+    xs = np.zeros(n)
+    xs[1:] = path.values[: n - 1]  # X(0) = 0 occupies slot 0
+    d = _chirp_z(xs, coef.size, d_xi * step, w.alpha * step)
+    return w.alpha * delta, d_xi * delta, coef * d
+
+
+def scale_coeffs_reference(path, w, a, m0, m1, reach):
+    """All coefficients e(a, k delta), k = m0..m1, via two chirp-z transforms
+    per scale: stage 1 (scale_samples_reference), then a second transform that
+    evaluates the inner sum at every retained shift.
+
+    Equivalent to the time-domain Riemann sum over |p delta / a - k delta| <=
+    reach: the profile is sampled on a grid fine enough that the periodized
+    kernel's images stay below the reach's tail tolerance over every argument
+    the sum visits.
+    """
+    phase0, phase_step, v = scale_samples_reference(path, w, a, reach)
+    inner = _chirp_z(v, m1 - m0 + 1, -phase_step, -phase_step * m0)
+    k = np.arange(m0, m1 + 1)
+    return (path.delta / (np.pi * np.sqrt(a))) * np.real(np.exp(1j * phase0 * k) * inner)
+
+
+def per_scale_spectrum_reference(path, w, grid, r=0.1):
+    """mfbm.wavelet.spectrum with every coefficient built, scale by scale, by
+    scale_coeffs_reference, and the mean of their squares taken directly."""
+    if not 0.0 < r < 1.0 / 3.0:
+        raise ValueError("trimming fraction must lie in (0, 1/3)")
+    n = path.n
+    reach = w.decay_reach()
+    y = np.empty(grid.f.size)
+    counts = np.empty(grid.f.size, dtype=int)
+    for i, f in enumerate(grid.f):
+        a = 1.0 / f
+        m0, m1 = _shift_range(n, a, r)
+        if m1 < m0:
+            raise AnalysisError(
+                f"no usable shifts at frequency {f:.6g} (scale {a:.6g}); "
+                f"need n * f_min / beta >= 10, got {n * grid.f_min / grid.beta:.3g}"
+            )
+        e = scale_coeffs_reference(path, w, a, m0, m1, reach)
         j = float(np.mean(e * e))
         counts[i] = m1 - m0 + 1
         if not np.isfinite(j) or j <= 0.0:

@@ -1,6 +1,6 @@
 """Wavelet profiles, the time-domain reference table, normalizing constants,
 coefficient sums, the log-variance spectrum and the decay reach (chirp-z
-routes vs the literal dense-sum and time-domain oracles)."""
+routes vs the literal dense-sum, per-scale and time-domain oracles)."""
 
 import os
 import subprocess
@@ -11,9 +11,9 @@ import pytest
 from scipy.integrate import quad
 
 import mfbm.wavelet as wavelet
-from mfbm import ModelSpec, SampledPath, build_grid, k_const, spectrum, theoretical_variance
+from mfbm import ModelSpec, PathSampler, SampledPath, build_grid, k_const, spectrum, theoretical_variance
 from mfbm.errors import DegeneratePathError, NumericError
-from mfbm.wavelet import BandWavelet, _envelope, _scale_coeffs_czt, _shift_range
+from mfbm.wavelet import BandWavelet, _envelope, _mean_square, _shift_range
 
 from oracles import (
     build_table,
@@ -22,10 +22,20 @@ from oracles import (
     direct_spectrum,
     empirical_coeff,
     fourier_sum,
+    per_scale_spectrum_reference,
     psi_time,
+    scale_coeffs_reference,
+    scale_samples_reference,
 )
 
 FIG3 = ModelSpec(hurst=(0.9, 0.2, 0.5), sigma=(5.0, 5.0, 5.0), omega=(0.05, 0.5))
+M1 = ModelSpec(hurst=(0.2, 0.7), sigma=(np.sqrt(10.0), np.sqrt(5.0)), omega=(5.0,))
+# the benchmark's grids: (model, n, band) at delta = 0.03
+BENCH_GRIDS = {
+    "m1-6000": (M1, 6000, (0.8, 16.0)),
+    "fbm-6000": (ModelSpec.fbm(0.6, 1.0), 6000, (0.05, 20.0)),
+    "m1-8192": (M1, 8192, (0.8, 16.0)),
+}
 
 
 def bump_table(samples):
@@ -284,11 +294,62 @@ class TestSpectrum:
         for s in range(200):
             path = sampler.draw(seed=71, stream=s)
             m0, m1 = _shift_range(n, a, 0.1)
-            e = _scale_coeffs_czt(path, bump, a, m0, m1, reach)
+            e = scale_coeffs_reference(path, bump, a, m0, m1, reach)
             vals.append(np.mean(e * e))
         want = theoretical_variance(model, bump, a)
         se = np.std(vals, ddof=1) / np.sqrt(len(vals))
         assert abs(np.mean(vals) - want) <= 3.0 * se
+
+    @pytest.mark.parametrize("a", [0.06, 0.25, 12.5, 200.0])
+    def test_closed_form_mean_square(self, bump, fbm06_paths, a):
+        """The Dirichlet-kernel mean square equals the mean of e^2 over the
+        explicit per-shift coefficients built from the same profile samples."""
+        path = fbm06_paths[0]
+        reach = bump.decay_reach()
+        m0, m1 = _shift_range(path.n, a, 0.1)
+        e = scale_coeffs_reference(path, bump, a, m0, m1, reach)
+        phase0, phase_step, v = scale_samples_reference(path, bump, a, reach)
+        got = (path.delta / np.pi) ** 2 / a * _mean_square(v, phase0, phase_step, m0, m1)
+        want = float(np.mean(e * e))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m0, m1", [(0, 0), (3, 8), (4, 8), (10, 109)])
+    @pytest.mark.parametrize("phase0, phase_step", [(0.3, 1e-3), (2.9, 1.3), (np.pi, np.pi / 2)])
+    def test_mean_square_matches_explicit_sum(self, m0, m1, phase0, phase_step):
+        """The closed form against the sum it replaces, with phases that wrap past
+        2 pi and that hit multiples of 2 pi exactly, at odd and even shift counts."""
+        rng = np.random.default_rng(m1)
+        v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        k = np.arange(m0, m1 + 1)
+        g = np.exp(1j * np.outer(k, phase0 + phase_step * np.arange(v.size))) @ v
+        got = _mean_square(v, phase0, phase_step, m0, m1)
+        assert got == pytest.approx(np.mean(g.real**2), rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("make", [BandWavelet.bump, BandWavelet.meyer_shifted],
+                             ids=["bump", "meyer-shifted"])
+    @pytest.mark.parametrize("cell", list(BENCH_GRIDS))
+    def test_matches_per_scale_reference(self, make, cell):
+        """One zoom transform per octave of scales gives the per-scale two-stage
+        spectrum to 5e-9 in Y: only the profile's quadrature nodes move, and
+        both node sets keep the kernel's images below the tail tolerance."""
+        model, n, band = BENCH_GRIDS[cell]
+        w = make()
+        path = PathSampler(model, n, 0.03).draw(seed=23, stream=0)
+        grid = build_grid(n, 0.03, *band, w)
+        fast = spectrum(path, w, grid)
+        slow = per_scale_spectrum_reference(path, w, grid)
+        assert np.max(np.abs(fast.y - slow.y)) <= 5e-9
+        assert np.array_equal(fast.counts, slow.counts)
+
+    def test_one_zoom_transform_per_octave(self, bump, fbm06_paths, monkeypatch):
+        """On the fBm production grid (scales 0.25 to 200) the spectrum makes
+        at most ceil(log2(a_max / a_min)) + 1 chirp-z transforms, against two
+        per scale (362) for the per-scale route."""
+        path = fbm06_paths[0]
+        grid = build_grid(path.n, path.delta, 0.05, 20.0, bump)
+        calls = recorded_chirp_z(monkeypatch)
+        spectrum(path, bump, grid)
+        assert len(calls) <= int(np.ceil(np.log2(grid.f[-1] / grid.f[0]))) + 1
 
 
 class TestReach:
@@ -341,18 +402,22 @@ def assert_matches_czt(calls, tol=1e-9):
 
 
 class TestChirpZ:
-    @pytest.mark.parametrize("a", [0.06, 0.25, 12.5])
-    def test_scale_stages_match_scipy(self, bump, fbm06_paths, monkeypatch, a):
-        """Both stages of one scale agree with scipy.signal.czt: the first over
-        the n = 6000 path (m about 3000 at a = 0.06, start phase alpha delta / a),
-        the inner one with negative step starting at shift m0."""
+    @pytest.mark.parametrize("f_min, f_max", [(0.05, 20.0), (0.8, 16.0), (2.0, 80.0)],
+                             ids=["a-0.25-to-200", "a-0.3125-to-12.5", "a-0.0625-to-5"])
+    def test_scale_stages_match_scipy(self, bump, fbm06_paths, monkeypatch, f_min, f_max):
+        """Every zoom transform of one spectrum agrees with scipy.signal.czt:
+        each runs over the n = 6000 path, starts at alpha delta / a_hi for the
+        largest scale a_hi of its octave and steps at most 2 pi / n. The third
+        band reaches scale 0.0625, where the octave's transform has m about 4700."""
         path = fbm06_paths[0]
+        grid = build_grid(path.n, path.delta, f_min, f_max, bump)
         calls = recorded_chirp_z(monkeypatch)
-        m0, m1 = _shift_range(path.n, a, 0.1)
-        _scale_coeffs_czt(path, bump, a, m0, m1, bump.decay_reach())
-        (x1, _, theta1, phi1, _), (_, m2, theta2, phi2, _) = calls
-        assert x1.size == path.n and phi1 == pytest.approx(bump.alpha * path.delta / a)
-        assert theta2 < 0 and m2 == m1 - m0 + 1 and phi2 == pytest.approx(theta2 * m0)
+        spectrum(path, bump, grid)
+        starts = np.array([phi0 for _, _, _, phi0, _ in calls])
+        assert all(x.size == path.n for x, *_ in calls)
+        assert all(0.0 < theta <= 2.0 * np.pi / path.n for _, _, theta, _, _ in calls)
+        assert starts[0] == pytest.approx(bump.alpha * path.delta * grid.f[0])
+        assert np.all(np.diff(starts) > 0)
         assert_matches_czt(calls)
 
     def test_reach_scan_matches_scipy(self, monkeypatch):
