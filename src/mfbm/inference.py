@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammainc, gammaincc
 
 from .changepoint import FrequencyGrid, Segmentation, build_grid, minimize_q, omega_hat, refine_points
@@ -242,9 +241,9 @@ def fgls_estimate(y: np.ndarray, grid: FrequencyGrid, points, sigma: np.ndarray,
     sigma_used, regularized = _guard_condition(sigma)
     x = np.column_stack([grid.log_f[points], np.ones(m)])
     yv = np.asarray(y, dtype=float)[points]
-    factor = cho_factor(sigma_used, lower=True)
-    xtw = x.T @ cho_solve(factor, x)
-    beta = np.linalg.solve(xtw, x.T @ cho_solve(factor, yv))
+    chol = np.linalg.cholesky(sigma_used)
+    wx = np.linalg.solve(chol, x)
+    beta = np.linalg.solve(wx.T @ wx, wx.T @ np.linalg.solve(chol, yv))
     slope, intercept = float(beta[0]), float(beta[1])
     h, sigma2, clamped = _recover(slope, intercept, w)
     return SegmentEstimate(
@@ -281,8 +280,8 @@ def test_statistic(residuals, sigmas, n: int, delta: float):
     for r_j, s_j in zip(residuals, sigmas):
         if r_j.size != m:
             raise ValueError("all segments must use the same number of points")
-        factor = cho_factor(np.asarray(s_j, dtype=float), lower=True)
-        total += float(r_j @ cho_solve(factor, r_j))
+        z = np.linalg.solve(np.linalg.cholesky(np.asarray(s_j, dtype=float)), r_j)
+        total += float(z @ z)
     dof = len(residuals) * (m - 2)
     return n * delta * total, dof
 

@@ -17,10 +17,16 @@ at frequencies xi delta / a; scales within a factor 2 of each other share
 one zoom (chirp-z) transform of the path on a lattice fine enough for the
 largest of them, and each scale takes the lattice nodes inside its band.
 The mean square over the shifts is then exact algebra: the autocorrelation
-and self-convolution of the scale's samples, from one FFT, summed against
-Dirichlet kernels. The reach itself is found by scanning |psi| on a
-uniform time grid, which is one more chirp-z transform of profile samples:
-the library has a single route for Fourier sums.
+and self-convolution of the scale's samples, from one FFT and one inverse
+FFT, summed against Dirichlet kernels. Everything but the path's own
+transform and samples (the lattices, each scale's node and shift ranges and
+its two Dirichlet kernels, at most three floats per lattice node the scale
+uses) depends only on the grid, the wavelet, n, delta and r: the wavelet
+keeps that plan for its last spectrum and reuses it while those stay the
+same, so repeated spectra on one grid make no kernel twice. The reach
+itself is found by scanning |psi| on a uniform time grid, which is one more
+chirp-z transform of profile samples: the library has a single route for
+Fourier sums.
 """
 
 from __future__ import annotations
@@ -117,6 +123,7 @@ class BandWavelet:
         self._profile = profile
         self._psi0 = None
         self._reach = None
+        self._plan = None  # (key, groups) of the last spectrum; see _spectrum_plan
 
     # -- constructors -------------------------------------------------------
 
@@ -349,26 +356,105 @@ def _dirichlet(x: np.ndarray, count: int) -> np.ndarray:
     return sign * np.divide(np.sin(count * half), den, out=limit, where=den != 0.0)
 
 
-def _mean_square(v: np.ndarray, phase0: float, phase_step: float, m0: int, m1: int) -> float:
+def _scale_kernels(phase0: float, phase_step: float, m: int, count: int, out=None) -> np.ndarray:
+    """The two Dirichlet kernels of a scale's mean square, in one array of
+    3 m - 2 entries: D(d phase_step) for d = 1..m-1, then
+    D(2 phase0 + s phase_step) for s = 0..2m-2."""
+    if out is None:
+        out = np.empty(3 * m - 2)
+    steps = phase_step * np.arange(2 * m - 1)
+    out[: m - 1] = _dirichlet(steps[1:m], count)
+    out[m - 1 :] = _dirichlet(2.0 * phase0 + steps, count)
+    return out
+
+
+def _mean_square(v: np.ndarray, phase0: float, phase_step: float, m0: int, m1: int,
+                 kernels=None) -> float:
     """Mean over k = m0..m1 of (Re g_k)^2, g_k = sum_q v_q exp(i (phase0 + q phase_step) k),
     without forming any g_k.
 
     (Re g)^2 = (|g|^2 + Re g^2) / 2. Summed over the shifts, counted from
     their centre (m0 + m1) / 2, the two terms are the autocorrelation R and
     the self-convolution P of the recentred v against real Dirichlet kernels:
-    sum |g_k|^2 = sum_d R(d) D(d phase_step) and
-    sum g_k^2 = sum_s P(s) D(2 phase0 + s phase_step). R and P come from one
-    FFT of v.
+    sum |g_k|^2 = sum_d Re R(d) D(d phase_step) and
+    sum Re g_k^2 = sum_s Re P(s) D(2 phase0 + s phase_step). With S the FFT
+    of the recentred v and S_ its reversal S(-j), Re R and Re P are the real
+    and imaginary parts of one inverse FFT of
+    (|S|^2 + |S_|^2) / 2 + i (S^2 + conj S_^2) / 2.
+    `kernels` are the scale's _scale_kernels, computed here when not given.
     """
     m = v.size
     count = m1 - m0 + 1
-    steps = phase_step * np.arange(2 * m - 1)
-    spec = fft(v * np.exp(0.5j * (m0 + m1) * (phase0 + steps[:m])), next_fast_len(2 * m - 1))
-    auto = ifft(spec * spec.conj())[:m].real  # R(d), d >= 0; R(-d) = conj R(d)
-    conv = ifft(spec * spec)[: 2 * m - 1].real
-    modulus = count * auto[0] + 2.0 * (auto[1:] @ _dirichlet(steps[1:m], count))
-    square = conv @ _dirichlet(2.0 * phase0 + steps, count)
-    return 0.5 * (modulus + square) / count
+    if kernels is None:
+        kernels = _scale_kernels(phase0, phase_step, m, count)
+    spec = fft(v * np.exp(0.5j * (m0 + m1) * (phase0 + phase_step * np.arange(m))),
+               next_fast_len(2 * m - 1))
+    rev = np.concatenate((spec[:1], spec[:0:-1])).conj()  # conj S_
+    # (|S|^2 + i S^2) / (1 + i) = (Re S - Im S) S, so `both` is the inverse FFT
+    # above divided by (1 + i) / 2
+    both = ifft((spec.real - spec.imag) * spec + (rev.real - rev.imag) * rev)
+    auto = 0.5 * (both.real[:m] - both.imag[:m])  # Re R(d), d >= 0; Re R is even
+    conv = 0.5 * (both.real[: 2 * m - 1] + both.imag[: 2 * m - 1])  # Re P(s)
+    modulus = count * auto[0] + 2.0 * (auto[1:] @ kernels[: m - 1])
+    return 0.5 * (modulus + conv @ kernels[m - 1 :]) / count
+
+
+@dataclass(frozen=True)
+class _Group:
+    """One zoom lattice lo + step q, q = 0..size-1, in omega = xi delta / a,
+    and its scales. A row ((grid index, q0, q1, m0, m1), view) gives the
+    lattice nodes q0..q1 inside the scale's band, its retained shifts m0..m1
+    and its _scale_kernels, a view into the group's one `kernels` array."""
+
+    lo: float
+    step: float
+    size: int
+    rows: tuple
+    kernels: np.ndarray
+
+
+def _spectrum_plan(w: BandWavelet, grid: FrequencyGrid, n: int, delta: float, r: float):
+    """The path-independent part of `spectrum`: the zoom lattices of the grid's
+    octave groups and every scale's node range, shift range and Dirichlet
+    kernels. The wavelet keeps the last plan it built, so repeated spectra on
+    one grid share it; any other grid, n, delta or r replaces it."""
+    key = (grid.f.tobytes(), n, delta, r)
+    if w._plan is not None and w._plan[0] == key:
+        return w._plan[1]
+    w._plan = None  # free the old plan before building the new one
+    # at scale a the kernel's images must lie n delta / a + reach + 16 apart in time:
+    # a node spacing of at most 2 pi / (n + a pad) in omega = xi delta / a
+    pad = (w.decay_reach() + 16.0) / delta
+    scales = 1.0 / grid.f
+    groups = []  # scales from the largest down; a group spans a ratio of at most _GROUP_RATIO
+    for i in np.argsort(grid.f):
+        if groups and _GROUP_RATIO * scales[i] >= scales[groups[-1][0]]:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    plan = []
+    for group in groups:
+        a_hi = scales[group[0]]
+        # one zoom DFT D(omega) = sum_p X(p delta) exp(-i omega p) on a lattice fine
+        # enough for the largest scale of the group, hence for all of them
+        step = min(2.0 * np.pi / (n + a_hi * pad), (w.beta - w.alpha) * delta / (_MIN_SEGMENTS * a_hi))
+        lo = w.alpha * delta / a_hi
+        size = int((w.beta * delta / scales[group[-1]] - lo) / step) + 2
+        rows = []
+        for i in group:
+            a = scales[i]
+            # every lattice node inside the band [alpha, beta] in xi = omega a / delta
+            q0 = max(0, int(np.ceil((w.alpha * delta / a - lo) / step)))
+            q1 = int(np.floor((w.beta * delta / a - lo) / step))
+            rows.append((int(i), q0, q1, *_shift_range(n, a, r)))
+        lengths = [3 * (q1 - q0) + 1 for _, q0, q1, _, _ in rows]
+        kernels = np.empty(sum(lengths))
+        views = np.split(kernels, np.cumsum(lengths)[:-1])
+        for (i, q0, q1, m0, m1), view in zip(rows, views):
+            _scale_kernels(scales[i] * (lo + step * q0), scales[i] * step, q1 - q0 + 1, m1 - m0 + 1, view)
+        plan.append(_Group(lo, step, size, tuple(zip(rows, views)), kernels))
+    w._plan = (key, plan)
+    return plan
 
 
 def spectrum(path: SampledPath, w: BandWavelet, grid: FrequencyGrid,
@@ -382,39 +468,20 @@ def spectrum(path: SampledPath, w: BandWavelet, grid: FrequencyGrid,
         raise ValueError("trimming fraction must lie in (0, 1/3)")
     n = path.n
     delta = path.delta
-    # at scale a the kernel's images must lie n delta / a + reach + 16 apart in time:
-    # a node spacing of at most 2 pi / (n + a pad) in omega = xi delta / a
-    pad = (w.decay_reach() + 16.0) / delta
+    plan = _spectrum_plan(w, grid, n, delta, r)
     xs = np.zeros(n)
     xs[1:] = path.values[: n - 1]  # X(0) = 0 occupies slot 0
-    scales = 1.0 / grid.f
-    groups = []  # scales from the largest down; a group spans a ratio of at most _GROUP_RATIO
-    for i in np.argsort(grid.f):
-        if groups and _GROUP_RATIO * scales[i] >= scales[groups[-1][0]]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
     y = np.empty(grid.f.size)
     counts = np.empty(grid.f.size, dtype=int)
-    for group in groups:
-        a_hi = scales[group[0]]
-        # one zoom DFT D(omega) = sum_p X(p delta) exp(-i omega p) on a lattice fine
-        # enough for the largest scale of the group, hence for all of them
-        step = min(2.0 * np.pi / (n + a_hi * pad), (w.beta - w.alpha) * delta / (_MIN_SEGMENTS * a_hi))
-        lo = w.alpha * delta / a_hi
-        size = int((w.beta * delta / scales[group[-1]] - lo) / step) + 2
-        d = _chirp_z(xs, size, step, lo)
-        for i in group:
-            a = scales[i]
-            # every lattice node inside the band [alpha, beta] in xi = omega a / delta:
-            # the trapezoid rule there has weight step a / delta at every node
-            q = np.arange(max(0, int(np.ceil((w.alpha * delta / a - lo) / step))),
-                          int(np.floor((w.beta * delta / a - lo) / step)) + 1)
-            phases = a * (lo + step * q)  # xi_q delta
-            v = (step * a / delta) * w.profile_values(phases / delta) * d[q]
-            m0, m1 = _shift_range(n, a, r)
+    for g in plan:
+        d = _chirp_z(xs, g.size, g.step, g.lo)
+        for (i, q0, q1, m0, m1), kernels in g.rows:
+            a = 1.0 / grid.f[i]
+            # the trapezoid rule on the band has weight step a / delta at every node
+            phases = a * (g.lo + g.step * np.arange(q0, q1 + 1))  # xi_q delta
+            v = (g.step * a / delta) * w.profile_values(phases / delta) * d[q0 : q1 + 1]
             # e_k = (delta / (pi sqrt(a))) Re sum_q v_q exp(i xi_q k delta)
-            j = (delta / np.pi) ** 2 / a * _mean_square(v, phases[0], a * step, m0, m1)
+            j = (delta / np.pi) ** 2 / a * _mean_square(v, phases[0], a * g.step, m0, m1, kernels)
             counts[i] = m1 - m0 + 1
             if not np.isfinite(j) or j <= 0.0:
                 raise DegeneratePathError(

@@ -3,9 +3,14 @@ production-size single-regime paths reused across test modules."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mfbm import ModelSpec, PathSampler
 from mfbm.wavelet import BandWavelet
+
+# property tests draw the same examples on every run, so a failure reproduces
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 FBM06 = dict(hurst=0.6, n=6000, delta=0.03, seed=101)
 

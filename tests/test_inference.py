@@ -237,6 +237,10 @@ class TestTestStatistic:
         with pytest.raises(ValueError, match="three"):
             t_k_statistic([np.zeros(2)], [np.eye(2)], 100, 0.5)
 
+    def test_not_positive_definite_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            t_k_statistic([np.ones(3)], [np.diag([1.0, -1.0, 1.0])], 100, 0.5)
+
 
 class TestSelection:
     def test_fbm_path_accepts_k0(self, bump, fbm06_paths):

@@ -352,6 +352,52 @@ class TestSpectrum:
         assert len(calls) <= int(np.ceil(np.log2(grid.f[-1] / grid.f[0]))) + 1
 
 
+class TestPlan:
+    """The wavelet keeps the path-independent part of the last spectrum (zoom
+    lattices, node and shift ranges, Dirichlet kernels) for the next one."""
+
+    def test_reused_and_rebuilt_plans_are_bit_identical(self, fbm06_paths):
+        w = BandWavelet.bump(5.0, 10.0)
+        path = fbm06_paths[0]
+        short = SampledPath(path.delta, path.values[:4000])
+        grid_a = build_grid(path.n, path.delta, 0.8, 16.0, w)
+        grid_b = build_grid(path.n, path.delta, 0.05, 20.0, w)
+        grid_short = build_grid(short.n, short.delta, 0.8, 16.0, w)
+        for p, grid, r in [(path, grid_a, 0.1), (path, grid_b, 0.1), (path, grid_a, 0.1),
+                           (path, grid_a, 0.2), (short, grid_short, 0.2), (path, grid_a, 0.2)]:
+            got = spectrum(p, w, grid, r=r)
+            fresh = spectrum(p, BandWavelet.bump(5.0, 10.0), grid, r=r)
+            assert np.array_equal(got.y, fresh.y)
+            assert np.array_equal(got.counts, fresh.counts)
+
+    def test_kernels_made_once_per_grid(self, fbm06_paths, monkeypatch):
+        """The first spectrum on a grid makes the two Dirichlet kernels of every
+        scale, a repeat on the same grid makes none."""
+        w = BandWavelet.bump(5.0, 10.0)
+        grid = build_grid(6000, 0.03, 0.8, 16.0, w)
+        calls = []
+        own = wavelet._dirichlet
+
+        def counted(x, count):
+            calls.append(count)
+            return own(x, count)
+
+        monkeypatch.setattr(wavelet, "_dirichlet", counted)
+        spectrum(fbm06_paths[0], w, grid)
+        assert len(calls) == 2 * grid.f.size
+        spectrum(fbm06_paths[1], w, grid)
+        assert len(calls) == 2 * grid.f.size
+
+    def test_kernel_bytes_bounded_by_nodes(self, fbm06_paths):
+        """At most three float64 per lattice node a scale uses."""
+        w = BandWavelet.bump(5.0, 10.0)
+        grid = build_grid(6000, 0.03, 0.8, 16.0, w)
+        spectrum(fbm06_paths[0], w, grid)
+        plan = wavelet._spectrum_plan(w, grid, 6000, 0.03, 0.1)
+        nodes = sum(q1 - q0 + 1 for g in plan for (_, q0, q1, _, _), _ in g.rows)
+        assert sum(g.kernels.nbytes for g in plan) <= 24 * nodes
+
+
 class TestReach:
     def test_reach_bounds_tail(self, bump):
         r = bump.decay_reach()
@@ -437,7 +483,17 @@ class TestChirpZ:
 
     def test_import_leaves_scipy_signal_out(self):
         """Neither the library nor its CLI loads scipy.signal (about 0.9 s of import)."""
-        src = os.path.dirname(os.path.dirname(wavelet.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        code = "import mfbm, mfbm.cli, sys; assert 'scipy.signal' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+        assert_import_leaves_out("scipy.signal")
+
+    def test_import_leaves_scipy_linalg_out(self):
+        """Neither the library nor its CLI loads scipy.linalg: FGLS and the test
+        statistic whiten with numpy's Cholesky factor."""
+        assert_import_leaves_out("scipy.linalg")
+
+
+def assert_import_leaves_out(module):
+    """`import mfbm, mfbm.cli` in a fresh interpreter does not load `module`."""
+    src = os.path.dirname(os.path.dirname(wavelet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = f"import mfbm, mfbm.cli, sys; assert {module!r} not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
