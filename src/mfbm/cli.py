@@ -33,7 +33,7 @@ from .inference import select_k
 from .model import ModelSpec, SampledPath
 from .montecarlo import ReplicationStudy, make_wavelet, run_study
 from .simulate import PathSampler
-from .wavelet import BandWavelet, spectrum
+from .wavelet import spectrum
 
 DEFAULTS = {"wavelet": "bump", "alpha": 5.0, "beta": 10.0, "r": 0.1, "m": 5,
             "level": 0.05, "k_max": 2}
@@ -48,16 +48,12 @@ def _float_list(text):
 
 def _add_wavelet_flags(p):
     p.add_argument("--wavelet", default=DEFAULTS["wavelet"],
-                   choices=["bump", "meyer-shifted", "table"],
+                   choices=["bump", "meyer-shifted"],
                    help="analyzing wavelet kind (default bump)")
     p.add_argument("--alpha", type=float, default=DEFAULTS["alpha"],
-                   help="lower band edge for bump/table wavelets (default 5)")
+                   help="lower band edge for the bump wavelet (default 5)")
     p.add_argument("--beta", type=float, default=DEFAULTS["beta"],
-                   help="upper band edge for bump/table wavelets (default 10)")
-    p.add_argument("--wavelet-table", default=None,
-                   help="two-column text file (xi, profile) for --wavelet table; the "
-                        "profile is linearly interpolated, so it needs on the order of 1e5 "
-                        "rows across the band; sparse tables fail with a numeric error")
+                   help="upper band edge for the bump wavelet (default 10)")
 
 
 def _add_band_flags(p):
@@ -109,7 +105,6 @@ def _build_parser():
     p.add_argument("--m", type=int, default=DEFAULTS["m"], help="regression points per segment")
     p.add_argument("--level", type=float, default=DEFAULTS["level"], help="test level")
     p.add_argument("--k-max", type=int, default=DEFAULTS["k_max"], help="largest order tried")
-    p.add_argument("--sigma-convention", choices=["limit", "plain"], default="limit")
     p.add_argument("--out", required=True, help="report JSON")
     p.add_argument("--overlay", default=None, help="optional per-frequency overlay CSV")
 
@@ -122,7 +117,6 @@ def _build_parser():
     p.add_argument("--m", type=int, default=DEFAULTS["m"])
     p.add_argument("--level", type=float, default=DEFAULTS["level"])
     p.add_argument("--k-max", type=int, default=DEFAULTS["k_max"])
-    p.add_argument("--sigma-convention", choices=["limit", "plain"], default="limit")
     p.add_argument("--replications", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
@@ -145,14 +139,6 @@ def _load_config_args(path):
             key, value = (part.strip() for part in line.split("=", 1))
             out += [f"--{key.replace('_', '-')}", value]
     return out
-
-
-def _wavelet_from_args(args) -> BandWavelet:
-    if args.wavelet == "table":
-        if not args.wavelet_table:
-            raise ConfigError("--wavelet table needs --wavelet-table FILE")
-        return BandWavelet.from_table_file(args.wavelet_table, args.alpha, args.beta)
-    return make_wavelet(args.wavelet, args.alpha, args.beta)
 
 
 def _model_from_args(args) -> ModelSpec:
@@ -247,7 +233,7 @@ _ANALYSIS_KEYS = ("input", "delta", "f_min", "f_max", "r", "wavelet", "alpha", "
 
 def _cmd_analyze(args) -> int:
     path = _read_path_csv(args.input, args.delta)
-    w = _wavelet_from_args(args)
+    w = make_wavelet(args.wavelet, args.alpha, args.beta)
     grid = build_grid(path.n, path.delta, args.f_min, args.f_max, w)
     spec = spectrum(path, w, grid, r=args.r)
     rows = [(float(f), float(lf), float(y), int(c))
@@ -284,14 +270,13 @@ def _overlay_rows(fit):
 
 def _cmd_fit(args) -> int:
     path = _read_path_csv(args.input, args.delta)
-    w = _wavelet_from_args(args)
+    w = make_wavelet(args.wavelet, args.alpha, args.beta)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fit = select_k(path, w, f_min=args.f_min, f_max=args.f_max, m=args.m,
-                       r=args.r, level=args.level, k_max=args.k_max,
-                       sigma_convention=args.sigma_convention)
+                       r=args.r, level=args.level, k_max=args.k_max)
     report = fit.to_dict()
-    report["config"] = _echo(args, _ANALYSIS_KEYS + ("m", "level", "k_max", "sigma_convention"))
+    report["config"] = _echo(args, _ANALYSIS_KEYS + ("m", "level", "k_max"))
     report["warnings"] = sorted({str(c.message) for c in caught})
     _write_json(args.out, report)
     if args.overlay:
@@ -304,13 +289,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     model = _model_from_args(args)
-    if args.wavelet == "table":
-        raise ConfigError("montecarlo supports the built-in wavelets only (bump, meyer-shifted)")
     study = ReplicationStudy(
         model=model, n=args.n, delta=args.delta, f_min=args.f_min, f_max=args.f_max,
         wavelet_kind=args.wavelet, alpha=args.alpha, beta=args.beta, m=args.m,
-        r=args.r, level=args.level, k_max=args.k_max,
-        sigma_convention=args.sigma_convention, seed=args.seed,
+        r=args.r, level=args.level, k_max=args.k_max, seed=args.seed,
         replications=args.replications,
     )
     with warnings.catch_warnings():
@@ -320,7 +302,7 @@ def _cmd_montecarlo(args) -> int:
     table = {
         "command": "montecarlo",
         "config": _echo(args, ("hurst", "sigma2", "omega", "n", "delta", "f_min", "f_max",
-                               "r", "m", "level", "k_max", "sigma_convention", "wavelet",
+                               "r", "m", "level", "k_max", "wavelet",
                                "alpha", "beta", "seed", "replications", "workers")),
         "stats": stats,
     }

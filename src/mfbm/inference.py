@@ -11,8 +11,8 @@ scaling) has entries
            * int ( int profile(xi/g_k) profile(xi/g_l) |xi|^-(2H+1)
                    e^(-i u xi) d xi )^2 du
 
-with pref = 2 / (1 - 2r) by default ("limit" convention; the "plain"
-convention drops the 1/(1-2r) factor and is exposed for comparison).
+with pref = 2 / (1 - 2r); the factor 1 / (1 - 2r) is the trimming of the
+shifts, without which the statistic below is too large by that factor.
 Entries vanish exactly when g_l / g_k >= beta / alpha (disjoint bands).
 The weighted distance between the refine-point values and their FGLS line,
 scaled by n delta, is asymptotically chi-square with (K+1)(m-2) degrees
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 H_CLAMP = (0.05, 0.95)
-SIGMA_CONVENTIONS = ("limit", "plain")
 _COND_GUARD = 1e12
 
 
@@ -105,7 +104,6 @@ class FitResult:
     accepted: bool
     level: float
     r: float
-    sigma_convention: str
     spectrum: WaveletSpectrum = field(repr=False, compare=False)
 
     def to_dict(self):
@@ -121,7 +119,6 @@ class FitResult:
             "accepted": self.accepted,
             "level": self.level,
             "r": self.r,
-            "sigma_convention": self.sigma_convention,
         }
 
 
@@ -191,18 +188,15 @@ def _sigma_entry(h: float, g_lo: float, g_hi: float, w: BandWavelet) -> float:
     )
 
 
-def sigma_matrix(hurst: float, freqs, w: BandWavelet, r: float,
-                 convention: str = "limit") -> np.ndarray:
+def sigma_matrix(hurst: float, freqs, w: BandWavelet, r: float) -> np.ndarray:
     """Asymptotic covariance matrix of the scaled log-spectrum at the given
-    regression frequencies, for a regime with the given Hurst exponent.
+    regression frequencies, for a regime with the given Hurst exponent,
+    including the 1/(1-2r) trimming factor.
 
-    convention="limit" includes the 1/(1-2r) trimming factor; "plain" drops it.
     Entries for frequency pairs with ratio >= beta/alpha are exactly zero.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("Hurst exponent must lie in (0, 1)")
-    if convention not in SIGMA_CONVENTIONS:
-        raise ValueError(f"unknown sigma convention {convention!r}")
     g = np.asarray(freqs, dtype=float)
     if g.ndim != 1 or g.size < 1:
         raise ValueError("need a one-dimensional list of frequencies")
@@ -210,9 +204,7 @@ def sigma_matrix(hurst: float, freqs, w: BandWavelet, r: float,
         raise ValueError("frequencies must be ascending and positive")
     m = g.size
     kh = k_const(w, hurst)
-    pref = 2.0 / kh**2
-    if convention == "limit":
-        pref /= 1.0 - 2.0 * r
+    pref = 2.0 / kh**2 / (1.0 - 2.0 * r)
     out = np.zeros((m, m))
     for i in range(m):
         for j in range(i, m):
@@ -307,7 +299,7 @@ def _check_segment_separation(points, grid: FrequencyGrid, ratio: float):
 
 
 def fit_fixed_k(spec: WaveletSpectrum, w: BandWavelet, k: int, m: int = 5,
-                level: float = 0.05, sigma_convention: str = "limit") -> FitResult:
+                level: float = 0.05) -> FitResult:
     """Full fit of a k-change model to one spectrum: segmentation, refine-point
     OLS, covariance, FGLS and the goodness-of-fit statistic.
 
@@ -322,7 +314,7 @@ def fit_fixed_k(spec: WaveletSpectrum, w: BandWavelet, k: int, m: int = 5,
     ols_list, fgls_list, residuals, sigmas = [], [], [], []
     for pts in points:
         est = ols_estimate(spec.y, grid, pts, w)
-        sig = sigma_matrix(est.hurst, grid.f[pts], w, spec.r, convention=sigma_convention)
+        sig = sigma_matrix(est.hurst, grid.f[pts], w, spec.r)
         fin = fgls_estimate(spec.y, grid, pts, sig, w)
         gamma1, gamma2 = _lambda_covariances(grid.log_f[pts], fin.sigma)
         ols_list.append(replace(est, lambda_cov=gamma1))
@@ -335,14 +327,12 @@ def fit_fixed_k(spec: WaveletSpectrum, w: BandWavelet, k: int, m: int = 5,
     return FitResult(
         k=k, segmentation=seg, omegas=omegas, segments=tuple(fgls_list),
         segments_ols=tuple(ols_list), t_stat=float(t_stat), dof=dof,
-        p_value=p, accepted=p >= level, level=level, r=spec.r,
-        sigma_convention=sigma_convention, spectrum=spec,
+        p_value=p, accepted=p >= level, level=level, r=spec.r, spectrum=spec,
     )
 
 
 def select_k(path: SampledPath, w: BandWavelet, f_min: float, f_max: float,
-             m: int = 5, r: float = 0.1, level: float = 0.05, k_max: int = 2,
-             sigma_convention: str = "limit") -> FitResult:
+             m: int = 5, r: float = 0.1, level: float = 0.05, k_max: int = 2) -> FitResult:
     """Recursive model-order selection: fit k = 0, 1, ... and stop at the first
     k whose goodness-of-fit test accepts at the given level.
 
@@ -358,7 +348,7 @@ def select_k(path: SampledPath, w: BandWavelet, f_min: float, f_max: float,
     result = None
     for k in range(k_max + 1):
         try:
-            result = fit_fixed_k(spec, w, k, m=m, level=level, sigma_convention=sigma_convention)
+            result = fit_fixed_k(spec, w, k, m=m, level=level)
         except MfbmError as e:
             raise type(e)(f"[K={k}] {e}") from e
         if result.accepted:

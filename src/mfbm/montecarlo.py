@@ -70,7 +70,6 @@ class ReplicationStudy:
     r: float = 0.1
     level: float = 0.05
     k_max: int = 2
-    sigma_convention: str = "limit"
     seed: int = 0
     replications: int = 30
 
@@ -144,8 +143,7 @@ def _replicate(args) -> dict:
         fits = {}
         selected = None
         for k in range(k_top + 1):
-            fit = fit_fixed_k(spec, w, k, m=study.m, level=study.level,
-                              sigma_convention=study.sigma_convention)
+            fit = fit_fixed_k(spec, w, k, m=study.m, level=study.level)
             fits[k] = {
                 "T": fit.t_stat,
                 "dof": fit.dof,

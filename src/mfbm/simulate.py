@@ -12,6 +12,7 @@ always uses stream r regardless of scheduling.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import SimulationError
 from .model import ModelSpec, SampledPath, variogram
@@ -31,51 +32,11 @@ def uniform_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Rational approximation of the standard normal quantile (Acklam's
-# coefficients, |relative error| < 1.2e-9); keeps draws identical across
-# platforms and BLAS builds.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def inverse_normal_cdf(u):
-    """Standard normal quantile of u in (0, 1), vectorized."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-
-    lo = u < _P_LOW
-    hi = u > 1.0 - _P_LOW
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = u[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r) + 1.0
-        out[mid] = q * num / den
-    for sel, tail in ((lo, u[lo]), (hi, 1.0 - u[hi])):
-        if np.any(sel):
-            q = np.sqrt(-2.0 * np.log(tail))
-            num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-            den = ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q) + 1.0
-            out[sel] = num / den
-    if np.any(hi):
-        out[hi] = -out[hi]
-    return out
-
-
 def standard_normals(size: int, seed: int, stream: int = 0) -> np.ndarray:
-    """i.i.d. N(0,1) via inverse-CDF of counter-based uniforms."""
+    """i.i.d. N(0,1): the standard normal quantile (scipy's ndtri) of
+    counter-based uniforms, clipped away from 0 and 1."""
     u = uniform_stream(seed, stream).random(size)
-    u = np.clip(u, 2.0**-54, 1.0 - 2.0**-54)
-    return inverse_normal_cdf(u)
+    return ndtri(np.clip(u, 2.0**-54, 1.0 - 2.0**-54))
 
 
 class PathSampler:

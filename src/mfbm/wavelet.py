@@ -32,6 +32,7 @@ Fourier sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -56,15 +57,17 @@ _MIN_SEGMENTS = 128
 # spectrum: scales within this ratio of each other share one zoom transform of the path
 _GROUP_RATIO = 2.0
 
-# Band integrals: a fixed composite Gauss-Legendre rule, checked against the
-# same rule on fewer panels. Both rules' nodes on [0, 1] are precomputed and
-# stacked, so an integrand is evaluated in one vectorized call.
+# Band integrals: a composite Gauss-Legendre rule on 4 panels, checked against
+# the same rule on 2 panels. Both rules' nodes on [0, 1] are precomputed and
+# stacked, so an integrand is evaluated in one vectorized call. When the pair
+# disagrees the panel count doubles, up to a cap, until two successive rules agree.
 _GL_ORDER = 64
 _GL_PANELS = 4
-_GL_CHECK_PANELS = 2
+_GL_MAX_PANELS = 32
 _GL_RTOL = 1e-8
 
 
+@cache
 def _unit_rule(panels: int):
     nodes, weights = leggauss(_GL_ORDER)
     half = 0.5 / panels
@@ -73,29 +76,37 @@ def _unit_rule(panels: int):
 
 
 _GL_X, _GL_W = _unit_rule(_GL_PANELS)
-_GL_CHECK_X, _GL_CHECK_W = _unit_rule(_GL_CHECK_PANELS)
+_GL_CHECK_X, _GL_CHECK_W = _unit_rule(_GL_PANELS // 2)
 _GL_ALL_X = np.concatenate((_GL_X, _GL_CHECK_X))
 
 
 def _band_integral(fn, lo: float, hi: float, what: str) -> float:
-    """Integral of fn over [lo, hi] by the fixed Gauss-Legendre rule.
+    """Integral of fn over [lo, hi] by composite Gauss-Legendre rules.
 
     fn must be vectorized and smooth on [lo, hi]; for the band integrands of
-    the built-in profiles the rule agrees with adaptive integration to about
-    1e-12 relative. Raises NumericError naming `what` when the coarser check
-    rule disagrees by more than _GL_RTOL relative (a jump or kink inside the
+    the built-in profiles the 4-panel rule agrees with its 2-panel check and
+    with adaptive integration to about 1e-12 relative, and is returned. Steep
+    edges (a bump wider than about 7) need more panels: the count doubles
+    until a rule agrees with the one before it to _GL_RTOL relative, and the
+    finer of the two is returned. Raises NumericError naming `what` when no
+    pair agrees up to _GL_MAX_PANELS panels (a jump or kink inside the
     interval).
     """
     width = hi - lo
     vals = np.asarray(fn(lo + width * _GL_ALL_X), dtype=float)
     fine = width * float(vals[: _GL_X.size] @ _GL_W)
     coarse = width * float(vals[_GL_X.size :] @ _GL_CHECK_W)
-    if not np.isfinite(fine) or abs(fine - coarse) > _GL_RTOL * abs(fine):
-        raise NumericError(
-            f"{what}: band integral on [{lo:.6g}, {hi:.6g}] did not settle "
-            f"({_GL_PANELS}- and {_GL_CHECK_PANELS}-panel Gauss-Legendre rules give "
-            f"{fine:.10g} and {coarse:.10g}); the profile is too rough for the fixed rule"
-        )
+    panels = _GL_PANELS
+    while not (np.isfinite(fine) and abs(fine - coarse) <= _GL_RTOL * abs(fine)):
+        if panels >= _GL_MAX_PANELS or not np.isfinite(fine):
+            raise NumericError(
+                f"{what}: band integral on [{lo:.6g}, {hi:.6g}] did not settle "
+                f"({panels // 2}- and {panels}-panel Gauss-Legendre rules give "
+                f"{coarse:.10g} and {fine:.10g}); the profile is too rough for the band rule"
+            )
+        panels *= 2
+        x, wts = _unit_rule(panels)
+        coarse, fine = fine, width * float(np.asarray(fn(lo + width * x), dtype=float) @ wts)
     return fine
 
 
@@ -109,9 +120,10 @@ class BandWavelet:
     """Analyzing wavelet with Fourier profile supported on [alpha, beta] in |xi|.
 
     Construct via the classmethods: bump() for the exponential bump profile,
-    meyer_shifted() for the ramp/window profile on [pi, 2*pi], from_table()
-    or from_table_file() for a tabulated profile, or the constructor itself
-    for any vectorized callable profile.
+    meyer_shifted() for the ramp/window profile on [pi, 2*pi], or the
+    constructor itself for any vectorized callable profile. The profile must
+    be smooth enough for the band rule (_band_integral) and for a time-domain
+    decay reach below _REACH_CAP.
     """
 
     def __init__(self, alpha: float, beta: float, profile, kind: str = "custom"):
@@ -160,44 +172,6 @@ class BandWavelet:
             return out
 
         return cls(a, b, profile, kind="meyer-shifted")
-
-    @classmethod
-    def from_table(cls, xi, values, alpha: float, beta: float) -> "BandWavelet":
-        """Tabulated profile; sample abscissae must lie strictly inside (alpha, beta).
-
-        The profile is linearly interpolated and pinned to zero at both band
-        edges, so it has a kink at every sample and psi decays only like 1/t^2
-        in time. The table must be dense: with the bump on [1, 2] sampled
-        uniformly, 1,000 samples fail the band rule at psi(0), 20,000 fail
-        decay_reach (NumericError), 50,000 give a reach 2.5 times too long,
-        and 100,000 reproduce the analytic reach and K_H to 3e-10 relative.
-        """
-        xi = np.asarray(xi, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if xi.ndim != 1 or xi.shape != values.shape or xi.size < 2:
-            raise ValueError("need matching 1-d abscissa/value columns with at least two rows")
-        if np.any(np.diff(xi) <= 0):
-            raise ValueError("profile abscissae must be strictly increasing")
-        if xi[0] <= alpha or xi[-1] >= beta:
-            raise ValueError("profile samples must lie strictly inside (alpha, beta)")
-        if np.any(values < 0):
-            raise ValueError("profile values must be nonnegative")
-        grid = np.concatenate(([alpha], xi, [beta]))
-        vals = np.concatenate(([0.0], values, [0.0]))
-
-        def profile(x):
-            x = np.asarray(x, dtype=float)
-            return np.interp(x, grid, vals, left=0.0, right=0.0)
-
-        return cls(alpha, beta, profile, kind="custom-table")
-
-    @classmethod
-    def from_table_file(cls, path, alpha: float, beta: float) -> "BandWavelet":
-        """Load a two-column text file (xi, profile value)."""
-        data = np.loadtxt(path, ndmin=2)
-        if data.shape[1] != 2:
-            raise ValueError("profile file must have exactly two columns")
-        return cls.from_table(data[:, 0], data[:, 1], alpha, beta)
 
     # -- Fourier side --------------------------------------------------------
 
@@ -356,12 +330,10 @@ def _dirichlet(x: np.ndarray, count: int) -> np.ndarray:
     return sign * np.divide(np.sin(count * half), den, out=limit, where=den != 0.0)
 
 
-def _scale_kernels(phase0: float, phase_step: float, m: int, count: int, out=None) -> np.ndarray:
-    """The two Dirichlet kernels of a scale's mean square, in one array of
-    3 m - 2 entries: D(d phase_step) for d = 1..m-1, then
+def _scale_kernels(phase0: float, phase_step: float, m: int, count: int, out: np.ndarray) -> np.ndarray:
+    """The two Dirichlet kernels of a scale's mean square, written into `out`
+    (3 m - 2 entries): D(d phase_step) for d = 1..m-1, then
     D(2 phase0 + s phase_step) for s = 0..2m-2."""
-    if out is None:
-        out = np.empty(3 * m - 2)
     steps = phase_step * np.arange(2 * m - 1)
     out[: m - 1] = _dirichlet(steps[1:m], count)
     out[m - 1 :] = _dirichlet(2.0 * phase0 + steps, count)
@@ -369,7 +341,7 @@ def _scale_kernels(phase0: float, phase_step: float, m: int, count: int, out=Non
 
 
 def _mean_square(v: np.ndarray, phase0: float, phase_step: float, m0: int, m1: int,
-                 kernels=None) -> float:
+                 kernels: np.ndarray) -> float:
     """Mean over k = m0..m1 of (Re g_k)^2, g_k = sum_q v_q exp(i (phase0 + q phase_step) k),
     without forming any g_k.
 
@@ -381,12 +353,10 @@ def _mean_square(v: np.ndarray, phase0: float, phase_step: float, m0: int, m1: i
     of the recentred v and S_ its reversal S(-j), Re R and Re P are the real
     and imaginary parts of one inverse FFT of
     (|S|^2 + |S_|^2) / 2 + i (S^2 + conj S_^2) / 2.
-    `kernels` are the scale's _scale_kernels, computed here when not given.
+    `kernels` are the scale's _scale_kernels.
     """
     m = v.size
     count = m1 - m0 + 1
-    if kernels is None:
-        kernels = _scale_kernels(phase0, phase_step, m, count)
     spec = fft(v * np.exp(0.5j * (m0 + m1) * (phase0 + phase_step * np.arange(m))),
                next_fast_len(2 * m - 1))
     rev = np.concatenate((spec[:1], spec[:0:-1])).conj()  # conj S_

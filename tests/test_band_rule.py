@@ -1,6 +1,7 @@
 """The fixed Gauss-Legendre band rule against adaptive-quadrature oracles:
 psi(0), the normalizing constant, the wavelet variance and the covariance
-kernel entries, for both built-in wavelets."""
+kernel entries, for both built-in wavelets, and psi(0) and the normalizing
+constant over bump widths whose steep edges need more than the first rule."""
 
 import numpy as np
 import pytest
@@ -47,3 +48,13 @@ def test_sigma_entries(wavelet, hurst):
             got = _sigma_entry(hurst, g, g * rho, wavelet)
             want = sigma_entry_quad(hurst, g, g * rho, wavelet)
             assert got == pytest.approx(want, rel=TOL), (g, rho)
+
+
+@pytest.mark.parametrize("width", np.arange(1, 25) * 0.5)
+def test_wide_bumps(width):
+    """Widths past about 7 fail the first 4-vs-2-panel check; the doubled rules
+    still give the oracle values."""
+    w = BandWavelet.bump(1.0, 1.0 + width)
+    assert w.psi0 == pytest.approx(psi0_quad(w), rel=5e-8)
+    for hurst in (0.05, 0.5, 0.95):
+        assert k_const(w, hurst) == pytest.approx(k_const_quad(w, hurst), rel=5e-8)

@@ -137,12 +137,21 @@ class TestFit:
         assert report["accepted"] is True
         assert report["dof"] == 3
         assert report["config"]["m"] == 5
-        assert report["config"]["sigma_convention"] == "limit"
+        assert "sigma_convention" not in report and "sigma_convention" not in report["config"]
         assert report["segments"][0]["flavor"] == "fgls"
         header = overlay.read_text().splitlines()[0]
         assert header == "k,f,log_f,Y,segment,role,fit_ols,fit_fgls"
         assert run(argv) == 0
         assert out.read_bytes() == blob
+
+    def test_wide_bump_band(self, sim_path, tmp_path):
+        """A bump on [8, 16] is wider than the first band-rule pair can settle;
+        the fit goes through instead of exiting with a numeric failure."""
+        out = tmp_path / "fit.json"
+        rc = run(["fit", "--input", sim_path, "--f-min", "0.5", "--f-max", "16",
+                  "--alpha", "8", "--beta", "16", "--out", out])
+        assert rc in (0, 3)
+        assert json.loads(out.read_text())["config"]["alpha"] == 8.0
 
     def test_kmax_exhausted_exit_3(self, tmp_path):
         # two well-separated regimes, fitted with k_max = 0: K = 0 must reject

@@ -120,19 +120,11 @@ class TestSigmaMatrix:
         nz = s1 != 0
         assert np.allclose(2.0 * s2[nz], s1[nz], rtol=1e-6)
 
-    def test_conventions_differ_by_trimming_factor(self, bump):
-        g = np.array([0.9, 1.2])
-        s_limit = sigma_matrix(0.55, g, bump, 0.1, convention="limit")
-        s_plain = sigma_matrix(0.55, g, bump, 0.1, convention="plain")
-        assert np.allclose(s_limit, s_plain / (1.0 - 0.2), rtol=1e-14)
-
     def test_argument_validation(self, bump):
         with pytest.raises(ValueError, match="Hurst"):
             sigma_matrix(1.2, np.array([1.0]), bump, 0.1)
         with pytest.raises(ValueError, match="ascending"):
             sigma_matrix(0.5, np.array([2.0, 1.0]), bump, 0.1)
-        with pytest.raises(ValueError, match="convention"):
-            sigma_matrix(0.5, np.array([1.0]), bump, 0.1, convention="other")
 
 
 def _brute_force_entry(h, g1, g2, w):
@@ -259,7 +251,7 @@ class TestSelection:
         fit = select_k(fbm06_paths[2], bump, f_min=0.05, f_max=20.0)
         d = fit.to_dict()
         assert set(d) >= {"K", "omegas", "segments", "T_stat", "dof", "p_value",
-                          "accepted", "sigma_convention"}
+                          "accepted"}
         assert d["segments"][0]["flavor"] == "fgls"
         assert d["r"] == 0.1
         # the fitted spectrum rides along but stays out of the report and repr

@@ -1,11 +1,21 @@
 """Property tests: invariants checked over randomly drawn inputs rather than
 at a few spot values."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfbm import SampledPath, build_grid, sigma_matrix, spectrum
+import mfbm.cli as cli
+from mfbm import ModelSpec, PathSampler, SampledPath, build_grid, select_k, sigma_matrix, spectrum
+
+FIT_KEYS = {"K", "breakpoints", "omegas", "segments", "segments_ols", "T_stat", "dof",
+            "p_value", "accepted", "level", "r"}
+SEGMENT_KEYS = {"H", "sigma2", "slope", "intercept", "points", "flavor", "clamped",
+                "regularized", "lambda_cov"}
 
 
 @settings(max_examples=25, deadline=None)
@@ -34,3 +44,34 @@ def test_sigma_matrix_symmetric_psd_banded(bump, hurst, f0, gaps):
     assert eigs[0] >= -1e-12 * eigs[-1]
     disjoint = g[None, :] / g[:, None] >= bump.ratio
     assert np.all(s[disjoint] == 0.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(hurst=st.floats(0.05, 0.95), sigma2=st.floats(0.01, 100.0), n=st.integers(2, 2500),
+       delta=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1), stream=st.integers(0, 99))
+def test_simulate_csv_round_trip(hurst, sigma2, n, delta, seed, stream):
+    """`mfbm simulate` writes every value so that reading the CSV back gives
+    the drawn path exactly, step included."""
+    want = PathSampler(ModelSpec.fbm(hurst, float(np.sqrt(sigma2))), n, delta).draw(seed, stream)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "path.csv"
+        rc = cli.main(["simulate", "--hurst", repr(hurst), "--sigma2", repr(sigma2),
+                       "--n", str(n), "--delta", repr(delta), "--seed", str(seed),
+                       "--stream", str(stream), "--out", str(out)])
+        assert rc == 0
+        got = cli._read_path_csv(out, None)
+    assert got.delta == delta
+    assert np.array_equal(got.values, want.values)
+
+
+@settings(max_examples=10, deadline=None)
+@given(hurst=st.floats(0.1, 0.9), n=st.integers(1000, 2500), seed=st.integers(0, 2**32 - 1),
+       k_max=st.integers(0, 1))
+def test_fit_report_json_round_trip(bump, hurst, n, seed, k_max):
+    """A fit report survives JSON unchanged, with exactly the documented keys."""
+    path = PathSampler(ModelSpec.fbm(hurst, 1.0), n, 0.03).draw(seed)
+    report = select_k(path, bump, f_min=0.5, f_max=16.0, k_max=k_max).to_dict()
+    assert json.loads(json.dumps(report)) == report
+    assert set(report) == FIT_KEYS
+    for seg in report["segments"] + report["segments_ols"]:
+        assert set(seg) == SEGMENT_KEYS

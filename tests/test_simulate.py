@@ -3,29 +3,13 @@ the model covariance, and distributional checks of the drawn paths."""
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from mfbm import ModelSpec, PathSampler, covariance_matrix
 from mfbm.errors import SimulationError
-from mfbm.simulate import inverse_normal_cdf, standard_normals
+from mfbm.simulate import standard_normals
 
 from conftest import FBM06
 from oracles import empirical_variogram
-
-
-class TestInverseNormalCdf:
-    def test_against_scipy(self):
-        u = np.concatenate([
-            np.array([1e-12, 1e-6, 0.02, 0.024, 0.025, 0.5, 0.975, 0.999999]),
-            np.linspace(0.001, 0.999, 199),
-        ])
-        got = inverse_normal_cdf(u)
-        want = norm.ppf(u)
-        assert np.max(np.abs((got - want) / np.where(np.abs(want) > 1, want, 1.0))) < 1.2e-9
-
-    def test_symmetry(self):
-        u = np.linspace(0.01, 0.49, 25)
-        assert np.allclose(inverse_normal_cdf(u), -inverse_normal_cdf(1 - u), atol=1e-11)
 
 
 class TestStreams:

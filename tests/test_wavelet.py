@@ -13,7 +13,7 @@ from scipy.integrate import quad
 import mfbm.wavelet as wavelet
 from mfbm import ModelSpec, PathSampler, SampledPath, build_grid, k_const, spectrum, theoretical_variance
 from mfbm.errors import DegeneratePathError, NumericError
-from mfbm.wavelet import BandWavelet, _envelope, _mean_square, _shift_range
+from mfbm.wavelet import BandWavelet, _envelope, _mean_square, _scale_kernels, _shift_range
 
 from oracles import (
     build_table,
@@ -39,9 +39,12 @@ BENCH_GRIDS = {
 
 
 def bump_table(samples):
-    """The bump on [1, 2] tabulated uniformly strictly inside its band."""
-    xs = np.linspace(1.0, 2.0, samples + 2)[1:-1]
-    return BandWavelet.from_table(xs, BandWavelet.bump(1.0, 2.0).profile_values(xs), 1.0, 2.0)
+    """The bump on [1, 2] tabulated uniformly strictly inside its band and
+    linearly interpolated, pinned to zero at both band edges: a profile with a
+    kink at every sample, whose time-domain tail decays only like 1/t^2."""
+    xs = np.linspace(1.0, 2.0, samples + 2)
+    vals = BandWavelet.bump(1.0, 2.0).profile_values(xs)  # zero at both edges
+    return BandWavelet(1.0, 2.0, lambda x: np.interp(x, xs, vals, left=0.0, right=0.0))
 
 
 class TestProfiles:
@@ -68,30 +71,10 @@ class TestProfiles:
         vals = w.profile_values(xs)
         assert np.all(vals >= 0) and np.all(vals <= 1.0 + 1e-15)
 
-    def test_custom_table_roundtrip(self, tmp_path):
-        xs = np.linspace(1.1, 1.9, 30)
-        vals = np.exp(-1.0 / ((xs - 1.0) * (2.0 - xs)))
-        fname = tmp_path / "profile.txt"
-        np.savetxt(fname, np.column_stack([xs, vals]))
-        w = BandWavelet.from_table_file(fname, 1.0, 2.0)
-        assert w.kind == "custom-table"
-        assert w.profile_values(1.5) == pytest.approx(np.interp(1.5, xs, vals), rel=1e-12)
-        assert w.profile_values(0.99) == 0.0
-        assert w.profile_values(2.01) == 0.0
-
-    def test_custom_table_validation(self, tmp_path):
-        fname = tmp_path / "bad.txt"
-        np.savetxt(fname, np.column_stack([[0.9, 1.5], [0.1, 0.2]]))
-        with pytest.raises(ValueError, match="strictly inside"):
-            BandWavelet.from_table_file(fname, 1.0, 2.0)
-        np.savetxt(fname, np.array([[1.5, 0.1, 0.3]]))
-        with pytest.raises(ValueError, match="two columns"):
-            BandWavelet.from_table_file(fname, 1.0, 2.0)
-
     def test_table_density(self):
-        """A linearly interpolated table works only when dense: 100,000 samples
-        of the bump on [1, 2] reproduce its reach and K_H, 1,000 fail at psi(0)
-        and 20,000 at the reach cap."""
+        """A linearly interpolated profile works only when dense: 100,000 samples
+        of the bump on [1, 2] reproduce its reach and K_H, 1,000 fail the band
+        rule at psi(0) and 20,000 the reach cap."""
         ref = BandWavelet.bump(1.0, 2.0)
         dense = bump_table(100_000)
         assert dense.decay_reach() == pytest.approx(ref.decay_reach(), rel=1e-8)
@@ -309,7 +292,8 @@ class TestSpectrum:
         m0, m1 = _shift_range(path.n, a, 0.1)
         e = scale_coeffs_reference(path, bump, a, m0, m1, reach)
         phase0, phase_step, v = scale_samples_reference(path, bump, a, reach)
-        got = (path.delta / np.pi) ** 2 / a * _mean_square(v, phase0, phase_step, m0, m1)
+        kernels = _scale_kernels(phase0, phase_step, v.size, m1 - m0 + 1, np.empty(3 * v.size - 2))
+        got = (path.delta / np.pi) ** 2 / a * _mean_square(v, phase0, phase_step, m0, m1, kernels)
         want = float(np.mean(e * e))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -322,7 +306,8 @@ class TestSpectrum:
         v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         k = np.arange(m0, m1 + 1)
         g = np.exp(1j * np.outer(k, phase0 + phase_step * np.arange(v.size))) @ v
-        got = _mean_square(v, phase0, phase_step, m0, m1)
+        kernels = _scale_kernels(phase0, phase_step, v.size, m1 - m0 + 1, np.empty(3 * v.size - 2))
+        got = _mean_square(v, phase0, phase_step, m0, m1, kernels)
         assert got == pytest.approx(np.mean(g.real**2), rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("make", [BandWavelet.bump, BandWavelet.meyer_shifted],
