@@ -96,26 +96,21 @@ def build_grid(n: int, delta: float, f_min: float, f_max: float, wavelet) -> Fre
 
 @dataclass(frozen=True)
 class Segmentation:
-    """Breakpoints t_0 = 0 < t_1 < ... < t_K < t_{K+1} = a_n + tau_n with
-    per-segment regression lines in log f.
+    """Breakpoints t_0 = 0 < t_1 < ... < t_K < t_{K+1} = a_n + tau_n and the
+    least segmentation criterion they attain.
 
-    Segment j is fitted on grid indices t_j + 1 .. t_{j+1} - tau_n; the
+    Segment j is regressed on grid indices t_j + 1 .. t_{j+1} - tau_n; the
     tau_n indices before each breakpoint are the transition zone and carry
     no information about either neighboring regime.
     """
 
     t: tuple
-    lines: tuple  # (slope, intercept) per segment
     cost: float
     tau_n: int
 
     @property
     def k(self) -> int:
         return len(self.t) - 2
-
-    def segment_indices(self, j: int) -> np.ndarray:
-        """Grid indices segment j is regressed on."""
-        return np.arange(self.t[j] + 1, self.t[j + 1] - self.tau_n + 1)
 
 
 def _check_admissible(t, grid: FrequencyGrid):
@@ -138,7 +133,7 @@ class _SegmentCosts:
     points costs +inf.
     """
 
-    def __init__(self, y, x, tau, min_points=MIN_SEGMENT_POINTS):
+    def __init__(self, y, x, tau, min_points):
         one = np.ones_like(x)
         self._sums = np.concatenate(
             [np.zeros((6, 1)), np.cumsum([one, x, x * x, y, x * y, y * y], axis=1)], axis=1
@@ -150,16 +145,6 @@ class _SegmentCosts:
     def _moments(self, lo, hi):
         """Per-column sums over grid indices lo..hi inclusive (vectorized)."""
         return self._sums[:, np.minimum(hi, self._last) + 1] - self._sums[:, lo]
-
-    def line(self, lo, hi):
-        """OLS (slope, intercept) on grid indices lo..hi inclusive."""
-        n, sx, sxx, sy, sxy, _ = self._moments(lo, hi)
-        det = n * sxx - sx * sx
-        if det <= 0.0:
-            raise ZeroDivisionError("degenerate regression design")
-        slope = (n * sxy - sx * sy) / det
-        icept = (sy - slope * sx) / n
-        return float(slope), float(icept)
 
     def cost(self, t_lo, t_hi):
         """Residual sum of segment(s) (t_lo, t_hi]; either side may be an array."""
@@ -192,13 +177,6 @@ def minimize_q(y: np.ndarray, grid: FrequencyGrid, k: int,
         raise ValueError(f"need {grid.a_n + 1} spectrum values, got {y.size}")
     tau, end = grid.tau_n, grid.a_n + grid.tau_n
     costs = _SegmentCosts(y, grid.log_f, tau, min_points)
-
-    if k == 0:
-        q = costs.cost(0, end)
-        if not np.isfinite(q):
-            raise AnalysisError("grid too short for a single-segment fit")
-        return Segmentation(t=(0, end), lines=(costs.line(1, grid.a_n),), cost=float(q), tau_n=tau)
-
     gap = tau + min_points
     u = np.arange(end + 1)
     # suffix[j][v] = least cost of segments j..k given t_j = v
@@ -223,12 +201,10 @@ def minimize_q(y: np.ndarray, grid: FrequencyGrid, k: int,
         t.append(int(np.argmin(cand)))
     t.append(end)
 
-    total = 0.0
-    lines = []
-    for j in range(k + 1):
-        total += float(costs.cost(t[j], t[j + 1]))
-        lines.append(costs.line(t[j] + 1, t[j + 1] - tau))
-    return Segmentation(t=tuple(t), lines=tuple(lines), cost=total, tau_n=tau)
+    total = sum(float(costs.cost(t[j], t[j + 1])) for j in range(k + 1))
+    if not np.isfinite(total):  # only at k = 0: for k > 0 every t_j above had a finite cost
+        raise AnalysisError("grid too short for a single-segment fit")
+    return Segmentation(t=tuple(t), cost=total, tau_n=tau)
 
 
 def omega_hat(grid: FrequencyGrid, t) -> np.ndarray:

@@ -271,6 +271,7 @@ def _overlay_rows(fit):
 def _cmd_fit(args) -> int:
     path = _read_path_csv(args.input, args.delta)
     w = make_wavelet(args.wavelet, args.alpha, args.beta)
+    args.alpha, args.beta = w.alpha, w.beta  # the config echo reports the band used
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fit = select_k(path, w, f_min=args.f_min, f_max=args.f_max, m=args.m,
@@ -289,6 +290,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     model = _model_from_args(args)
+    w = make_wavelet(args.wavelet, args.alpha, args.beta)
+    args.alpha, args.beta = w.alpha, w.beta  # the config echo reports the band used
     study = ReplicationStudy(
         model=model, n=args.n, delta=args.delta, f_min=args.f_min, f_max=args.f_max,
         wavelet_kind=args.wavelet, alpha=args.alpha, beta=args.beta, m=args.m,
@@ -306,9 +309,6 @@ def _cmd_montecarlo(args) -> int:
                                "alpha", "beta", "seed", "replications", "workers")),
         "stats": stats,
     }
-    table["config"]["hurst"] = list(args.hurst)
-    table["config"]["sigma2"] = list(args.sigma2)
-    table["config"]["omega"] = list(args.omega)
     _write_json(args.out, table)
     if args.raw:
         k_true = model.k
@@ -347,38 +347,19 @@ _HANDLERS = {
 }
 
 
-def _strip_config_flag(argv):
-    """Remove --config/-its value from anywhere in argv; return (argv, path)."""
-    out, path = [], None
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise ConfigError("--config needs a file path")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-            i += 1
-            continue
-        out.append(arg)
-        i += 1
-    return out, path
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # let a config file supply defaults; explicit flags override because they come later
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    pre.add_argument("--config")
     try:
-        argv, config_path = _strip_config_flag(argv)
-    except ConfigError as e:
+        known, argv = pre.parse_known_args(argv)
+    except argparse.ArgumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if config_path:
+    if known.config:
         try:
-            extra = _load_config_args(config_path)
+            extra = _load_config_args(known.config)
         except OSError as e:
             print(f"error: cannot read config: {e}", file=sys.stderr)
             return 2

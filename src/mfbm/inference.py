@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc
 
 from .changepoint import FrequencyGrid, Segmentation, build_grid, minimize_q, omega_hat, refine_points
-from .errors import AnalysisError, MfbmError, NumericError
+from .errors import MfbmError, NumericError
 from .model import SampledPath
 from .wavelet import BandWavelet, WaveletSpectrum, _band_integral, k_const, spectrum
 
@@ -52,9 +52,11 @@ _COND_GUARD = 1e12
 class SegmentEstimate:
     """Per-segment parameter estimates from a regression on m refine points.
 
-    lambda_cov, when present, is the asymptotic covariance of the
-    (slope, intercept) vector under the sqrt(n delta) scaling: the sandwich
-    form for the OLS flavor, (X' Sigma^-1 X)^-1 for the FGLS flavor.
+    lambda_cov is the asymptotic covariance of the (slope, intercept) vector
+    under the sqrt(n delta) scaling. fgls_estimate sets it to
+    (X' Sigma^-1 X)^-1, the inverse of the information it solves with;
+    fit_fixed_k gives each OLS estimate the sandwich form under the same
+    Sigma. A bare ols_estimate leaves it None.
     """
 
     hurst: float
@@ -235,13 +237,14 @@ def fgls_estimate(y: np.ndarray, grid: FrequencyGrid, points, sigma: np.ndarray,
     yv = np.asarray(y, dtype=float)[points]
     chol = np.linalg.cholesky(sigma_used)
     wx = np.linalg.solve(chol, x)
-    beta = np.linalg.solve(wx.T @ wx, wx.T @ np.linalg.solve(chol, yv))
+    info = wx.T @ wx
+    beta = np.linalg.solve(info, wx.T @ np.linalg.solve(chol, yv))
     slope, intercept = float(beta[0]), float(beta[1])
     h, sigma2, clamped = _recover(slope, intercept, w)
     return SegmentEstimate(
         hurst=h, sigma2=sigma2, slope=slope, intercept=intercept,
         points=points, freqs=grid.f[points], flavor="fgls", clamped=clamped,
-        sigma=sigma_used, regularized=regularized,
+        sigma=sigma_used, regularized=regularized, lambda_cov=np.linalg.inv(info),
     )
 
 
@@ -278,24 +281,12 @@ def test_statistic(residuals, sigmas, n: int, delta: float):
     return n * delta * total, dof
 
 
-def _lambda_covariances(log_f: np.ndarray, sigma: np.ndarray):
-    """Asymptotic covariances of (slope, intercept): the OLS sandwich and the
-    generalized-least-squares form, both under the sqrt(n delta) scaling."""
+def _ols_sandwich(log_f: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Asymptotic covariance of the OLS (slope, intercept) under the
+    sqrt(n delta) scaling: (X'X)^-1 X' Sigma X (X'X)^-1."""
     x = np.column_stack([log_f, np.ones(log_f.size)])
     xtx_inv = np.linalg.inv(x.T @ x)
-    gamma1 = xtx_inv @ x.T @ sigma @ x @ xtx_inv
-    gamma2 = np.linalg.inv(x.T @ np.linalg.solve(sigma, x))
-    return gamma1, gamma2
-
-
-def _check_segment_separation(points, grid: FrequencyGrid, ratio: float):
-    """Refine points of different segments must sit at frequency ratio >= beta/alpha."""
-    for prev, nxt in zip(points, points[1:]):
-        if grid.f[nxt[0]] / grid.f[prev[-1]] < ratio:
-            raise AnalysisError(
-                "refine points of adjacent segments are closer than the wavelet "
-                "band ratio; transition handling is inconsistent"
-            )
+    return xtx_inv @ x.T @ sigma @ x @ xtx_inv
 
 
 def fit_fixed_k(spec: WaveletSpectrum, w: BandWavelet, k: int, m: int = 5,
@@ -309,16 +300,14 @@ def fit_fixed_k(spec: WaveletSpectrum, w: BandWavelet, k: int, m: int = 5,
     seg = minimize_q(spec.y, grid, k, min_points=m + 1)
     omegas = omega_hat(grid, seg.t)
     points = refine_points(seg.t, grid, m)
-    _check_segment_separation(points, grid, w.ratio)
 
     ols_list, fgls_list, residuals, sigmas = [], [], [], []
     for pts in points:
         est = ols_estimate(spec.y, grid, pts, w)
         sig = sigma_matrix(est.hurst, grid.f[pts], w, spec.r)
         fin = fgls_estimate(spec.y, grid, pts, sig, w)
-        gamma1, gamma2 = _lambda_covariances(grid.log_f[pts], fin.sigma)
-        ols_list.append(replace(est, lambda_cov=gamma1))
-        fgls_list.append(replace(fin, lambda_cov=gamma2))
+        ols_list.append(replace(est, lambda_cov=_ols_sandwich(grid.log_f[pts], fin.sigma)))
+        fgls_list.append(fin)
         resid = spec.y[pts] - (fin.slope * grid.log_f[pts] + fin.intercept)
         residuals.append(resid)
         sigmas.append(fin.sigma)

@@ -297,7 +297,4 @@ def covariance_matrix(model: ModelSpec, times) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
         raise ValueError("times must be one-dimensional")
-    v = variogram(model, t)
-    lags = np.abs(t[:, None] - t[None, :])
-    vlag = variogram(model, lags.ravel()).reshape(lags.shape)
-    return 0.5 * (v[:, None] + v[None, :] - vlag)
+    return covariance(model, t[:, None], t[None, :])

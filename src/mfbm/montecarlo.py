@@ -42,15 +42,15 @@ _WAVELET_CACHE: dict = {}
 
 
 def make_wavelet(kind: str, alpha: float = 5.0, beta: float = 10.0) -> BandWavelet:
-    """Process-local wavelet cache keyed by construction parameters."""
-    key = (kind, float(alpha), float(beta))
+    """Process-local wavelet cache. A bump is keyed by its band; the Meyer
+    wavelet's band is always [pi, 2 pi], so it is keyed by kind alone and
+    alpha and beta are ignored for it."""
+    if kind not in ("bump", "meyer-shifted"):
+        raise ConfigError(f"unknown wavelet kind {kind!r} (use bump or meyer-shifted)")
+    key = (kind, float(alpha), float(beta)) if kind == "bump" else (kind,)
     if key not in _WAVELET_CACHE:
-        if kind == "bump":
-            _WAVELET_CACHE[key] = BandWavelet.bump(alpha, beta)
-        elif kind == "meyer-shifted":
-            _WAVELET_CACHE[key] = BandWavelet.meyer_shifted()
-        else:
-            raise ConfigError(f"unknown wavelet kind {kind!r} (use bump or meyer-shifted)")
+        _WAVELET_CACHE[key] = (BandWavelet.bump(alpha, beta) if kind == "bump"
+                               else BandWavelet.meyer_shifted())
     return _WAVELET_CACHE[key]
 
 

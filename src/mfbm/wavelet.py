@@ -126,12 +126,11 @@ class BandWavelet:
     decay reach below _REACH_CAP.
     """
 
-    def __init__(self, alpha: float, beta: float, profile, kind: str = "custom"):
+    def __init__(self, alpha: float, beta: float, profile):
         if not 0 < alpha < beta:
             raise ValueError("need 0 < alpha < beta")
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self.kind = kind
         self._profile = profile
         self._psi0 = None
         self._reach = None
@@ -151,7 +150,7 @@ class BandWavelet:
             out[inside] = np.exp(-1.0 / ((xi - _a) * (_b - xi)))
             return out
 
-        return cls(alpha, beta, profile, kind="bump")
+        return cls(alpha, beta, profile)
 
     @classmethod
     def meyer_shifted(cls) -> "BandWavelet":
@@ -171,7 +170,7 @@ class BandWavelet:
             out[down] = np.cos(0.5 * np.pi * _meyer_nu((x[down] - mid) / half))
             return out
 
-        return cls(a, b, profile, kind="meyer-shifted")
+        return cls(a, b, profile)
 
     # -- Fourier side --------------------------------------------------------
 
@@ -188,9 +187,14 @@ class BandWavelet:
 
     @property
     def psi0(self) -> float:
-        """psi(0) = (1/pi) * integral of the profile; also max |psi|."""
+        """psi(0) = (1/pi) * integral of the profile; also max |psi|. Raises
+        NumericError when psi(0)^2, and so every wavelet energy, underflows to 0."""
         if self._psi0 is None:
-            self._psi0 = _band_integral(self.profile_values, self.alpha, self.beta, "psi(0)") / np.pi
+            psi0 = _band_integral(self.profile_values, self.alpha, self.beta, "psi(0)") / np.pi
+            if psi0 * psi0 == 0.0:
+                raise NumericError(f"psi(0) = {psi0:.3g} on the band [{self.alpha:.6g}, {self.beta:.6g}] "
+                                   "underflows when squared; widen the band")
+            self._psi0 = psi0
         return self._psi0
 
     # -- time-domain reach --------------------------------------------------
@@ -271,8 +275,13 @@ def k_const(w: BandWavelet, hurst: float) -> float:
     i.e. twice the integral over the positive band."""
     if not 0.0 < hurst < 1.0:
         raise ValueError("Hurst exponent must lie in (0, 1)")
-    return 2.0 * _band_integral(lambda u: w.profile_values(u) ** 2 * u ** (-2.0 * hurst - 1.0),
-                                w.alpha, w.beta, f"normalizing constant K_H at H = {hurst:.6g}")
+    what = f"normalizing constant K_H at H = {hurst:.6g}"
+    val = 2.0 * _band_integral(lambda u: w.profile_values(u) ** 2 * u ** (-2.0 * hurst - 1.0),
+                               w.alpha, w.beta, what)
+    if val == 0.0:
+        raise NumericError(f"{what} underflows to 0 on the band [{w.alpha:.6g}, {w.beta:.6g}]; "
+                           "widen the band")
+    return val
 
 
 def theoretical_variance(model: ModelSpec, w: BandWavelet, a: float) -> float:

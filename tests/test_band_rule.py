@@ -1,12 +1,14 @@
 """The fixed Gauss-Legendre band rule against adaptive-quadrature oracles:
 psi(0), the normalizing constant, the wavelet variance and the covariance
 kernel entries, for both built-in wavelets, and psi(0) and the normalizing
-constant over bump widths whose steep edges need more than the first rule."""
+constant over bump widths whose steep edges need more than the first rule,
+and the underflow guard for bumps too narrow for double precision."""
 
 import numpy as np
 import pytest
 
 from mfbm import ModelSpec, k_const, theoretical_variance
+from mfbm.errors import NumericError
 from mfbm.inference import _sigma_entry
 from mfbm.wavelet import BandWavelet
 
@@ -58,3 +60,15 @@ def test_wide_bumps(width):
     assert w.psi0 == pytest.approx(psi0_quad(w), rel=5e-8)
     for hurst in (0.05, 0.5, 0.95):
         assert k_const(w, hurst) == pytest.approx(k_const_quad(w, hurst), rel=5e-8)
+
+
+@pytest.mark.parametrize("width", [0.1, 0.05])
+def test_narrow_bumps_raise(width):
+    """Below a width of about 0.1 the squared bump profile underflows on the
+    whole band: psi(0) and the normalizing constant raise instead of
+    returning 0."""
+    w = BandWavelet.bump(1.0, 1.0 + width)
+    with pytest.raises(NumericError, match="psi"):
+        w.psi0
+    with pytest.raises(NumericError, match="normalizing constant"):
+        k_const(w, 0.5)

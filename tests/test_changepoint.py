@@ -123,7 +123,6 @@ def test_minimize_k0_is_global_ols(std_grid):
     slope, icept = np.polyfit(g.log_f[idx], y[idx], 1)
     resid = y[idx] - slope * g.log_f[idx] - icept
     assert seg.t == (0, g.a_n + g.tau_n)
-    assert seg.lines[0][0] == pytest.approx(slope, rel=1e-9)
     assert seg.cost == pytest.approx(float(resid @ resid), rel=1e-9)
 
 
@@ -187,9 +186,6 @@ def test_minimize_shift_invariance(std_grid):
     seg_shift = minimize_q(y + 3.25, g, 1)
     assert seg.t == seg_shift.t
     assert seg_shift.cost == pytest.approx(seg.cost, rel=1e-9, abs=1e-9)
-    for (s1, b1), (s2, b2) in zip(seg.lines, seg_shift.lines):
-        assert s2 == pytest.approx(s1, rel=1e-9, abs=1e-12)
-        assert b2 - b1 == pytest.approx(3.25, rel=1e-9)
 
 
 def test_minimize_respects_gap_constraint(std_grid):

@@ -153,6 +153,27 @@ class TestFit:
         assert rc in (0, 3)
         assert json.loads(out.read_text())["config"]["alpha"] == 8.0
 
+    def test_narrow_bump_band_exit_4(self, sim_path, tmp_path, capsys):
+        """A bump of width 0.1 underflows when squared: a numeric failure that
+        names psi(0), not a degenerate path."""
+        rc = run(["fit", "--input", sim_path, "--f-min", "0.5", "--f-max", "16",
+                  "--alpha", "1", "--beta", "1.1", "--out", tmp_path / "fit.json"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "psi(0)" in err and "no signal" not in err
+
+    def test_meyer_reports_its_own_band(self, sim_path, tmp_path):
+        """The Meyer band is fixed at [pi, 2 pi]: --alpha/--beta do not change
+        the fit, and the report echoes the band actually used."""
+        argv = ["fit", "--input", sim_path, "--f-min", "0.5", "--f-max", "16",
+                "--wavelet", "meyer-shifted"]
+        plain, banded = tmp_path / "plain.json", tmp_path / "banded.json"
+        assert run(argv + ["--out", plain]) in (0, 3)
+        assert run(argv + ["--alpha", "8", "--beta", "16", "--out", banded]) in (0, 3)
+        config = json.loads(banded.read_text())["config"]
+        assert (config["alpha"], config["beta"]) == (np.pi, 2.0 * np.pi)
+        assert banded.read_bytes() == plain.read_bytes()
+
     def test_kmax_exhausted_exit_3(self, tmp_path):
         # two well-separated regimes, fitted with k_max = 0: K = 0 must reject
         data = tmp_path / "m1.csv"
@@ -178,6 +199,29 @@ class TestFit:
                   "--out", out])
         assert rc in (0, 3)
         assert json.loads(out.read_text())["config"]["level"] == 0.2
+
+    @pytest.mark.parametrize("form", ["before", "equals"])
+    def test_config_flag_forms(self, sim_path, tmp_path, form):
+        """--config may come before the subcommand, and as --config=path."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("f_min = 0.5\nf_max = 16\nlevel = 0.2\n")
+        out = tmp_path / "fit.json"
+        tail = ["--input", sim_path, "--out", out]
+        argv = (["--config", cfg, "fit"] + tail if form == "before"
+                else ["fit", f"--config={cfg}"] + tail)
+        assert run(argv) in (0, 3)
+        config = json.loads(out.read_text())["config"]
+        assert (config["f_min"], config["f_max"], config["level"]) == (0.5, 16.0, 0.2)
+
+    def test_config_missing_value_exit_2(self, sim_path, tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        rc = run(["fit", "--input", sim_path, "--f-min", "0.5", "--f-max", "16",
+                  "--out", out, "--config"])
+        assert rc == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: argument --config: expected one argument"]
 
     def test_config_value_true_is_a_value(self, sim_path, tmp_path):
         cfg = tmp_path / "flag.cfg"

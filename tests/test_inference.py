@@ -286,8 +286,9 @@ class TestSelection:
         assert minimize_q(y, g, 2).t[1] == t_short
         fit = fit_fixed_k(spec, bump, 2, m=5)
         assert fit.k == 2
+        t, tau = fit.segmentation.t, fit.segmentation.tau_n
         for j in range(3):
-            assert fit.segmentation.segment_indices(j).size >= 6
+            assert np.arange(t[j] + 1, t[j + 1] - tau + 1).size >= 6
 
     def test_cross_segment_separation_asserted(self, bump, fbm06_paths):
         fit = fit_fixed_k(

@@ -6,7 +6,7 @@ import pytest
 from mfbm import ModelSpec
 from mfbm.errors import ConfigError
 from mfbm.inference import chi2_cdf
-from mfbm.montecarlo import ReplicationStudy, ks_statistic, run_study
+from mfbm.montecarlo import ReplicationStudy, ks_statistic, make_wavelet, run_study
 from mfbm.simulate import uniform_stream
 
 
@@ -38,6 +38,23 @@ class TestKsStatistic:
         lam = np.sqrt(samples.size) * d
         series = 2.0 * sum((-1) ** (k - 1) * np.exp(-2.0 * k**2 * lam**2) for k in range(1, 80))
         assert p == pytest.approx(series, rel=1e-10)
+
+
+class TestMakeWavelet:
+    def test_meyer_keyed_by_kind_alone(self):
+        """The Meyer band is fixed at [pi, 2 pi], so alpha and beta name no
+        other wavelet."""
+        w = make_wavelet("meyer-shifted")
+        assert make_wavelet("meyer-shifted", 8, 16) is w
+        assert (w.alpha, w.beta) == (np.pi, 2.0 * np.pi)
+
+    def test_bump_keyed_by_band(self):
+        assert make_wavelet("bump", 5.0, 10.0) is make_wavelet("bump")
+        assert make_wavelet("bump", 8.0, 16.0) is not make_wavelet("bump")
+
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError, match="unknown wavelet kind"):
+            make_wavelet("haar")
 
 
 @pytest.fixture(scope="module")

@@ -3,14 +3,18 @@ at a few spot values."""
 
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mfbm.cli as cli
-from mfbm import ModelSpec, PathSampler, SampledPath, build_grid, select_k, sigma_matrix, spectrum
+from mfbm import (ModelSpec, PathSampler, SampledPath, build_grid, refine_points, select_k,
+                  sigma_matrix, spectrum)
+from mfbm.errors import AnalysisError
+from mfbm.wavelet import BandWavelet
 
 FIT_KEYS = {"K", "breakpoints", "omegas", "segments", "segments_ols", "T_stat", "dof",
             "p_value", "accepted", "level", "r"}
@@ -75,3 +79,34 @@ def test_fit_report_json_round_trip(bump, hurst, n, seed, k_max):
     assert set(report) == FIT_KEYS
     for seg in report["segments"] + report["segments_ols"]:
         assert set(seg) == SEGMENT_KEYS
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(100, 50000), delta=st.floats(0.001, 0.2), f_min=st.floats(0.01, 2.0),
+       span=st.floats(1.5, 200.0), alpha=st.floats(0.5, 10.0), ratio=st.floats(1.05, 4.0),
+       m=st.integers(3, 8), data=st.data())
+def test_refine_points_of_adjacent_segments_have_disjoint_bands(n, delta, f_min, span, alpha,
+                                                                ratio, m, data):
+    """Refine points of adjacent segments sit at least tau_n + 2 grid steps
+    apart, and q^(tau_n + 1) > beta/alpha, so their frequency ratio reaches
+    the band ratio on every grid and for every admissible segmentation with
+    room for m points: no covariance entry couples two segments."""
+    w = BandWavelet.bump(alpha, alpha * ratio)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            grid = build_grid(n, delta, f_min, f_min * span, w)
+        except AnalysisError:
+            assume(False)
+    shortest = grid.tau_n + m + 1  # refine_points needs a step of at least 1
+    end = grid.a_n + grid.tau_n
+    assume(end >= shortest)
+    k = data.draw(st.integers(0, min(end // shortest - 1, 4)), label="k")
+    slack = end - (k + 1) * shortest
+    cuts = sorted(data.draw(st.lists(st.integers(0, slack), min_size=k, max_size=k), label="cuts"))
+    lengths = shortest + np.diff([0, *cuts, slack])
+    t = tuple(int(v) for v in np.concatenate(([0], np.cumsum(lengths))))
+    points = refine_points(t, grid, m)
+    for prev, nxt in zip(points, points[1:]):
+        assert nxt[0] - prev[-1] >= grid.tau_n + 2
+        assert grid.f[nxt[0]] / grid.f[prev[-1]] >= w.ratio

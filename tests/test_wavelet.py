@@ -123,7 +123,7 @@ class TestTimeDomain:
 class TestKConst:
     def test_indicator_closed_forms(self):
         ind = BandWavelet(
-            1.0, 2.0, lambda x: np.where((x >= 1.0) & (x <= 2.0), 1.0, 0.0), kind="custom"
+            1.0, 2.0, lambda x: np.where((x >= 1.0) & (x <= 2.0), 1.0, 0.0)
         )
         assert k_const(ind, 0.5) == pytest.approx(1.0, rel=1e-10)
         assert k_const(ind, 0.25) == pytest.approx(4.0 * (1.0 - 2.0**-0.5), rel=1e-10)
@@ -144,7 +144,6 @@ class TestKConst:
             1.0, 2.0,
             lambda x: np.where((x >= 1.0) & (x < 1.37), 1.0,
                                np.where((x >= 1.37) & (x <= 2.0), 0.5, 0.0)),
-            kind="custom",
         )
         with pytest.raises(NumericError, match="normalizing constant"):
             k_const(step, 0.5)
