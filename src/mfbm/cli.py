@@ -290,14 +290,13 @@ def _cmd_fit(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     model = _model_from_args(args)
-    w = make_wavelet(args.wavelet, args.alpha, args.beta)
-    args.alpha, args.beta = w.alpha, w.beta  # the config echo reports the band used
     study = ReplicationStudy(
         model=model, n=args.n, delta=args.delta, f_min=args.f_min, f_max=args.f_max,
         wavelet_kind=args.wavelet, alpha=args.alpha, beta=args.beta, m=args.m,
         r=args.r, level=args.level, k_max=args.k_max, seed=args.seed,
         replications=args.replications,
     )
+    args.alpha, args.beta = study.alpha, study.beta  # the config echo reports the band used
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = run_study(study, workers=args.workers)

@@ -76,6 +76,9 @@ class ReplicationStudy:
     def __post_init__(self):
         if self.replications < 2:
             raise ConfigError("need at least two replications")
+        w = self.wavelet()  # the study holds the band it analyses: Meyer's is always [pi, 2 pi]
+        object.__setattr__(self, "alpha", w.alpha)
+        object.__setattr__(self, "beta", w.beta)
 
     def wavelet(self) -> BandWavelet:
         return make_wavelet(self.wavelet_kind, self.alpha, self.beta)

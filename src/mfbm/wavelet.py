@@ -19,11 +19,12 @@ largest of them, and each scale takes the lattice nodes inside its band.
 The mean square over the shifts is then exact algebra: the autocorrelation
 and self-convolution of the scale's samples, from one FFT and one inverse
 FFT, summed against Dirichlet kernels. Everything but the path's own
-transform and samples (the lattices, each scale's node and shift ranges and
-its two Dirichlet kernels, at most three floats per lattice node the scale
-uses) depends only on the grid, the wavelet, n, delta and r: the wavelet
-keeps that plan for its last spectrum and reuses it while those stay the
-same, so repeated spectra on one grid make no kernel twice. The reach
+transform (the lattices, each scale's node and shift ranges, its two
+Dirichlet kernels and its profile weights with the recentring twist, three
+floats and one complex per lattice node the scale uses) depends only on the
+grid, the wavelet, n, delta and r: the wavelet keeps that plan for its last
+spectrum and reuses it while those stay the same, so repeated spectra on one
+grid evaluate no kernel, profile sample or twist twice. The reach
 itself is found by scanning |psi| on a uniform time grid, which is one more
 chirp-z transform of profile samples: the library has a single route for
 Fourier sums.
@@ -349,25 +350,22 @@ def _scale_kernels(phase0: float, phase_step: float, m: int, count: int, out: np
     return out
 
 
-def _mean_square(v: np.ndarray, phase0: float, phase_step: float, m0: int, m1: int,
-                 kernels: np.ndarray) -> float:
-    """Mean over k = m0..m1 of (Re g_k)^2, g_k = sum_q v_q exp(i (phase0 + q phase_step) k),
-    without forming any g_k.
+def _mean_square(v: np.ndarray, m0: int, m1: int, kernels: np.ndarray) -> float:
+    """Mean over k = m0..m1 of (Re g_k)^2, g_k = sum_q v_q exp(i (phase0 + q phase_step) (k - c)),
+    c = (m0 + m1) / 2, without forming any g_k. The samples v are already
+    recentred on the centre c of the shifts (see _spectrum_plan), and
+    `kernels` are the scale's _scale_kernels for phase0 and phase_step.
 
-    (Re g)^2 = (|g|^2 + Re g^2) / 2. Summed over the shifts, counted from
-    their centre (m0 + m1) / 2, the two terms are the autocorrelation R and
-    the self-convolution P of the recentred v against real Dirichlet kernels:
-    sum |g_k|^2 = sum_d Re R(d) D(d phase_step) and
+    (Re g)^2 = (|g|^2 + Re g^2) / 2. Summed over the shifts, the two terms are
+    the autocorrelation R and the self-convolution P of v against real
+    Dirichlet kernels: sum |g_k|^2 = sum_d Re R(d) D(d phase_step) and
     sum Re g_k^2 = sum_s Re P(s) D(2 phase0 + s phase_step). With S the FFT
-    of the recentred v and S_ its reversal S(-j), Re R and Re P are the real
-    and imaginary parts of one inverse FFT of
-    (|S|^2 + |S_|^2) / 2 + i (S^2 + conj S_^2) / 2.
-    `kernels` are the scale's _scale_kernels.
+    of v and S_ its reversal S(-j), Re R and Re P are the real and imaginary
+    parts of one inverse FFT of (|S|^2 + |S_|^2) / 2 + i (S^2 + conj S_^2) / 2.
     """
     m = v.size
     count = m1 - m0 + 1
-    spec = fft(v * np.exp(0.5j * (m0 + m1) * (phase0 + phase_step * np.arange(m))),
-               next_fast_len(2 * m - 1))
+    spec = fft(v, next_fast_len(2 * m - 1))
     rev = np.concatenate((spec[:1], spec[:0:-1])).conj()  # conj S_
     # (|S|^2 + i S^2) / (1 + i) = (Re S - Im S) S, so `both` is the inverse FFT
     # above divided by (1 + i) / 2
@@ -381,22 +379,25 @@ def _mean_square(v: np.ndarray, phase0: float, phase_step: float, m0: int, m1: i
 @dataclass(frozen=True)
 class _Group:
     """One zoom lattice lo + step q, q = 0..size-1, in omega = xi delta / a,
-    and its scales. A row ((grid index, q0, q1, m0, m1), view) gives the
-    lattice nodes q0..q1 inside the scale's band, its retained shifts m0..m1
-    and its _scale_kernels, a view into the group's one `kernels` array."""
+    and its scales. A row ((grid index, q0, q1, m0, m1), kernels, weights)
+    gives the lattice nodes q0..q1 inside the scale's band, its retained shifts
+    m0..m1, its _scale_kernels (three floats per node) and its recentred
+    trapezoid weights (one complex per node): views into the group's one
+    `kernels` and one `weights` array."""
 
     lo: float
     step: float
     size: int
     rows: tuple
     kernels: np.ndarray
+    weights: np.ndarray
 
 
 def _spectrum_plan(w: BandWavelet, grid: FrequencyGrid, n: int, delta: float, r: float):
     """The path-independent part of `spectrum`: the zoom lattices of the grid's
-    octave groups and every scale's node range, shift range and Dirichlet
-    kernels. The wavelet keeps the last plan it built, so repeated spectra on
-    one grid share it; any other grid, n, delta or r replaces it."""
+    octave groups and every scale's node range, shift range, Dirichlet kernels
+    and weights. The wavelet keeps the last plan it built, so repeated spectra
+    on one grid share it; any other grid, n, delta or r replaces it."""
     key = (grid.f.tobytes(), n, delta, r)
     if w._plan is not None and w._plan[0] == key:
         return w._plan[1]
@@ -426,12 +427,22 @@ def _spectrum_plan(w: BandWavelet, grid: FrequencyGrid, n: int, delta: float, r:
             q0 = max(0, int(np.ceil((w.alpha * delta / a - lo) / step)))
             q1 = int(np.floor((w.beta * delta / a - lo) / step))
             rows.append((int(i), q0, q1, *_shift_range(n, a, r)))
-        lengths = [3 * (q1 - q0) + 1 for _, q0, q1, _, _ in rows]
-        kernels = np.empty(sum(lengths))
-        views = np.split(kernels, np.cumsum(lengths)[:-1])
-        for (i, q0, q1, m0, m1), view in zip(rows, views):
-            _scale_kernels(scales[i] * (lo + step * q0), scales[i] * step, q1 - q0 + 1, m1 - m0 + 1, view)
-        plan.append(_Group(lo, step, size, tuple(zip(rows, views)), kernels))
+        nodes = np.array([q1 - q0 + 1 for _, q0, q1, _, _ in rows])
+        kernels = np.empty(int(np.sum(3 * nodes - 2)))
+        weights = np.empty(int(np.sum(nodes)), dtype=complex)
+        kernel_views = np.split(kernels, np.cumsum(3 * nodes - 2)[:-1])
+        weight_views = np.split(weights, np.cumsum(nodes)[:-1])
+        for (i, q0, q1, m0, m1), kern, wts in zip(rows, kernel_views, weight_views):
+            a = scales[i]
+            phases = a * (lo + step * np.arange(q0, q1 + 1))  # xi_q delta
+            _scale_kernels(phases[0], a * step, wts.size, m1 - m0 + 1, kern)
+            # e_k = (delta / (pi sqrt(a))) Re sum_q v_q exp(i xi_q k delta), v_q = weight_q D_q,
+            # with the trapezoid weight step a / delta at every node. Counted from the
+            # centre c = (m0 + m1) / 2 of the shifts, the sums over k in _mean_square meet
+            # real Dirichlet kernels once the weight carries the twist exp(i c xi_q delta)
+            twist = np.exp(0.5j * (m0 + m1) * (phases[0] + a * step * np.arange(wts.size)))
+            np.multiply((step * a / delta) * w.profile_values(phases / delta), twist, out=wts)
+        plan.append(_Group(lo, step, size, tuple(zip(rows, kernel_views, weight_views)), kernels, weights))
     w._plan = (key, plan)
     return plan
 
@@ -454,13 +465,9 @@ def spectrum(path: SampledPath, w: BandWavelet, grid: FrequencyGrid,
     counts = np.empty(grid.f.size, dtype=int)
     for g in plan:
         d = _chirp_z(xs, g.size, g.step, g.lo)
-        for (i, q0, q1, m0, m1), kernels in g.rows:
-            a = 1.0 / grid.f[i]
-            # the trapezoid rule on the band has weight step a / delta at every node
-            phases = a * (g.lo + g.step * np.arange(q0, q1 + 1))  # xi_q delta
-            v = (g.step * a / delta) * w.profile_values(phases / delta) * d[q0 : q1 + 1]
-            # e_k = (delta / (pi sqrt(a))) Re sum_q v_q exp(i xi_q k delta)
-            j = (delta / np.pi) ** 2 / a * _mean_square(v, phases[0], a * g.step, m0, m1, kernels)
+        for (i, q0, q1, m0, m1), kernels, weights in g.rows:
+            v = weights * d[q0 : q1 + 1]
+            j = (delta / np.pi) ** 2 * grid.f[i] * _mean_square(v, m0, m1, kernels)
             counts[i] = m1 - m0 + 1
             if not np.isfinite(j) or j <= 0.0:
                 raise DegeneratePathError(

@@ -4,6 +4,7 @@ FGLS, the goodness-of-fit statistic, and order selection."""
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.signal import czt
 
 import mpmath
 
@@ -130,7 +131,9 @@ class TestSigmaMatrix:
 def _brute_force_entry(h, g1, g2, w):
     """2-d trapezoid for the u-integral of the squared cosine transform of
     profile(xi/g1) profile(xi/g2) |xi|^(-2h-1), truncated where the transform
-    has visibly died."""
+    has visibly died. On the uniform xi and u grids the cosine sums over xi
+    are the real part of one scipy chirp-z transform, after the phase
+    exp(-i u xi_lo) of the grid's start."""
     g_lo, g_hi = min(g1, g2), max(g1, g2)
     xi_lo, xi_hi = w.alpha * g_hi, w.beta * g_lo
     xi = np.linspace(xi_lo, xi_hi, 4001)
@@ -142,12 +145,13 @@ def _brute_force_entry(h, g1, g2, w):
     u_hi = 16.0 / (xi_hi - xi_lo)
     while True:
         us = np.linspace(0.0, u_hi, int(np.ceil(u_hi * xi_hi * 6)) + 1)
-        f_vals = 2.0 * (np.cos(np.outer(us, xi)) @ (core * wt))
+        du = us[1] - us[0]
+        f_vals = 2.0 * np.real(np.exp(-1j * us * xi_lo)
+                               * czt(core * wt, m=us.size, w=np.exp(-1j * du * (xi[1] - xi[0]))))
         tail = np.abs(f_vals[us > 0.75 * u_hi])
         if np.max(tail) < 1e-6 * 2.0 * f0:
             break
         u_hi *= 2.0
-    du = us[1] - us[0]
     wu = np.full(us.size, du)
     wu[0] *= 0.5
     wu[-1] *= 0.5

@@ -93,6 +93,22 @@ class TestRunStudy:
                 f_min=0.5, f_max=16.0, replications=1,
             )
 
+    @pytest.mark.parametrize("kind, band, want", [
+        ("meyer-shifted", (8, 16), (np.pi, 2.0 * np.pi)),
+        ("meyer-shifted", (5.0, 10.0), (np.pi, 2.0 * np.pi)),
+        ("bump", (8, 16), (8.0, 16.0)),
+    ])
+    def test_study_holds_the_band_it_analyses(self, kind, band, want):
+        """A study's alpha and beta are those of its wavelet: the Meyer band is
+        fixed at [pi, 2 pi] whatever band was passed."""
+        study = ReplicationStudy(
+            model=ModelSpec.fbm(0.5, 1.0), n=1200, delta=0.03, f_min=0.5, f_max=16.0,
+            wavelet_kind=kind, alpha=band[0], beta=band[1], replications=2,
+        )
+        w = study.wavelet()
+        assert (study.alpha, study.beta) == (w.alpha, w.beta) == want
+        assert type(study.alpha) is float and type(study.beta) is float
+
     def test_two_regime_selection_fields(self):
         study = ReplicationStudy(
             model=ModelSpec(hurst=(0.2, 0.7), sigma=(np.sqrt(10), np.sqrt(5)), omega=(5.0,)),

@@ -7,14 +7,16 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import mfbm.cli as cli
 from mfbm import (ModelSpec, PathSampler, SampledPath, build_grid, refine_points, select_k,
                   sigma_matrix, spectrum)
 from mfbm.errors import AnalysisError
-from mfbm.wavelet import BandWavelet
+from mfbm.wavelet import BandWavelet, _chirp_z
+
+from oracles import czt_reference, per_scale_spectrum_reference
 
 FIT_KEYS = {"K", "breakpoints", "omegas", "segments", "segments_ols", "T_stat", "dof",
             "p_value", "accepted", "level", "r"}
@@ -110,3 +112,41 @@ def test_refine_points_of_adjacent_segments_have_disjoint_bands(n, delta, f_min,
     for prev, nxt in zip(points, points[1:]):
         assert nxt[0] - prev[-1] >= grid.tau_n + 2
         assert grid.f[nxt[0]] / grid.f[prev[-1]] >= w.ratio
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(alpha=st.floats(1.0, 8.0), ratio=st.floats(1.3, 3.0), meyer=st.booleans(),
+       n=st.integers(300, 2500), delta=st.floats(0.01, 0.1), shifts=st.floats(10.0, 40.0),
+       span=st.floats(4.0, 40.0), r=st.floats(0.02, 0.32), seed=st.integers(0, 2**32 - 1))
+def test_spectrum_matches_per_scale_reference(alpha, ratio, meyer, n, delta, shifts, span, r, seed):
+    """The zoom-transform spectrum with its kept plan against the per-scale route
+    that builds every coefficient, to 5e-9 in Y, on random wavelets, paths,
+    grids and trimming fractions. f_min puts `shifts` times beta / n shifts
+    at the largest scale; f_max = span f_min."""
+    w = BandWavelet.meyer_shifted() if meyer else BandWavelet.bump(alpha, alpha * ratio)
+    f_min = shifts * w.beta / n
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # f_max / alpha may pass 1 / delta; both routes share it
+        try:
+            grid = build_grid(n, delta, f_min, span * f_min, w)
+        except AnalysisError:
+            assume(False)
+    rng = np.random.default_rng(seed)
+    path = SampledPath(delta=delta, values=np.cumsum(rng.standard_normal(n)))
+    fast = spectrum(path, w, grid, r=r)
+    slow = per_scale_spectrum_reference(path, w, grid, r=r)
+    assert np.max(np.abs(fast.y - slow.y)) <= 5e-9
+    assert np.array_equal(fast.counts, slow.counts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 1500), m=st.integers(1, 1500), theta=st.floats(-1.0, 1.0),
+       phi0=st.floats(-10.0, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_chirp_z_matches_scipy(n, m, theta, phi0, seed):
+    """The library's Bluestein transform against scipy.signal.czt on random
+    shapes and phases, to 1e-9 of sum |x_j|, the bound on every output."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    out = _chirp_z(x, m, theta, phi0)
+    assert out.shape == (m,)
+    assert np.max(np.abs(out - czt_reference(x, m, theta, phi0))) <= 1e-9 * np.sum(np.abs(x))

@@ -292,7 +292,8 @@ class TestSpectrum:
         e = scale_coeffs_reference(path, bump, a, m0, m1, reach)
         phase0, phase_step, v = scale_samples_reference(path, bump, a, reach)
         kernels = _scale_kernels(phase0, phase_step, v.size, m1 - m0 + 1, np.empty(3 * v.size - 2))
-        got = (path.delta / np.pi) ** 2 / a * _mean_square(v, phase0, phase_step, m0, m1, kernels)
+        got = (path.delta / np.pi) ** 2 / a * _mean_square(recentred(v, phase0, phase_step, m0, m1),
+                                                            m0, m1, kernels)
         want = float(np.mean(e * e))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -306,7 +307,7 @@ class TestSpectrum:
         k = np.arange(m0, m1 + 1)
         g = np.exp(1j * np.outer(k, phase0 + phase_step * np.arange(v.size))) @ v
         kernels = _scale_kernels(phase0, phase_step, v.size, m1 - m0 + 1, np.empty(3 * v.size - 2))
-        got = _mean_square(v, phase0, phase_step, m0, m1, kernels)
+        got = _mean_square(recentred(v, phase0, phase_step, m0, m1), m0, m1, kernels)
         assert got == pytest.approx(np.mean(g.real**2), rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("make", [BandWavelet.bump, BandWavelet.meyer_shifted],
@@ -338,7 +339,8 @@ class TestSpectrum:
 
 class TestPlan:
     """The wavelet keeps the path-independent part of the last spectrum (zoom
-    lattices, node and shift ranges, Dirichlet kernels) for the next one."""
+    lattices, node and shift ranges, Dirichlet kernels, recentred profile
+    weights) for the next one."""
 
     def test_reused_and_rebuilt_plans_are_bit_identical(self, fbm06_paths):
         w = BandWavelet.bump(5.0, 10.0)
@@ -372,14 +374,53 @@ class TestPlan:
         spectrum(fbm06_paths[1], w, grid)
         assert len(calls) == 2 * grid.f.size
 
+    def test_profile_sampled_once_per_grid(self, fbm06_paths, monkeypatch):
+        """The first spectrum on a grid samples the profile once per scale and
+        twists the samples once; a repeat on the same grid does neither, so its
+        only exp calls are the two chirps of each zoom transform."""
+        w = BandWavelet.bump(5.0, 10.0)
+        w.decay_reach()
+        grid = build_grid(6000, 0.03, 0.8, 16.0, w)
+        profile_calls, exp_calls = [], []
+        own_profile, own_exp = BandWavelet.profile_values, np.exp
+
+        def counted_profile(self, xi):
+            profile_calls.append(np.size(xi))
+            return own_profile(self, xi)
+
+        def counted_exp(x, *args, **kwargs):
+            exp_calls.append(np.size(x))
+            return own_exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(BandWavelet, "profile_values", counted_profile)
+        monkeypatch.setattr(np, "exp", counted_exp)
+        spectrum(fbm06_paths[0], w, grid)
+        assert len(profile_calls) == grid.f.size
+        profile_calls.clear()
+        exp_calls.clear()
+        spectrum(fbm06_paths[1], w, grid)
+        assert profile_calls == []
+        assert len(exp_calls) == 2 * len(wavelet._spectrum_plan(w, grid, 6000, 0.03, 0.1))
+
     def test_kernel_bytes_bounded_by_nodes(self, fbm06_paths):
         """At most three float64 per lattice node a scale uses."""
-        w = BandWavelet.bump(5.0, 10.0)
-        grid = build_grid(6000, 0.03, 0.8, 16.0, w)
-        spectrum(fbm06_paths[0], w, grid)
-        plan = wavelet._spectrum_plan(w, grid, 6000, 0.03, 0.1)
-        nodes = sum(q1 - q0 + 1 for g in plan for (_, q0, q1, _, _), _ in g.rows)
+        plan, nodes = m1_plan_and_nodes(fbm06_paths[0])
         assert sum(g.kernels.nbytes for g in plan) <= 24 * nodes
+
+    def test_weight_bytes_bounded_by_nodes(self, fbm06_paths):
+        """At most one complex128 per lattice node a scale uses."""
+        plan, nodes = m1_plan_and_nodes(fbm06_paths[0])
+        assert sum(g.weights.nbytes for g in plan) <= 16 * nodes
+
+
+def m1_plan_and_nodes(path):
+    """The plan of a spectrum on the M1 benchmark grid, and the number of lattice
+    nodes its scales use."""
+    w = BandWavelet.bump(5.0, 10.0)
+    grid = build_grid(6000, 0.03, 0.8, 16.0, w)
+    spectrum(path, w, grid)
+    plan = wavelet._spectrum_plan(w, grid, 6000, 0.03, 0.1)
+    return plan, sum(q1 - q0 + 1 for g in plan for (_, q0, q1, _, _), _, _ in g.rows)
 
 
 class TestReach:
@@ -406,6 +447,12 @@ class TestReach:
             fast = _envelope(w, t_lo, step, ts.size, span=guard)
             assert np.max(np.abs(fast - env)) <= 1e-12 * w.psi0
         assert w.decay_reach() == reach == want
+
+
+def recentred(v, phase0, phase_step, m0, m1):
+    """v times the twist exp(i c (phase0 + q phase_step)), c = (m0 + m1) / 2,
+    that the spectrum plan folds into each scale's weights."""
+    return v * np.exp(0.5j * (m0 + m1) * (phase0 + phase_step * np.arange(v.size)))
 
 
 def recorded_chirp_z(monkeypatch):
