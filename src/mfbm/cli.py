@@ -297,9 +297,7 @@ def _cmd_montecarlo(args) -> int:
         replications=args.replications,
     )
     args.alpha, args.beta = study.alpha, study.beta  # the config echo reports the band used
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = run_study(study, workers=args.workers)
+    result = run_study(study, workers=args.workers)
     stats = result.stats()
     table = {
         "command": "montecarlo",
@@ -318,18 +316,17 @@ def _cmd_montecarlo(args) -> int:
                   + [f"omega{j + 1}" for j in range(k_true)]
                   + ["error"])
         rows = []
-        for rep, rec in enumerate(result.records):
-            if rec is None:
-                err = next((f["error"] for f in result.failures if f["stream"] == rep), "unknown")
-                rows.append([rep] + [""] * (len(header) - 2) + [err])
+        for rec in result.records:
+            if "error" in rec:
+                rows.append([rec["stream"]] + [""] * (len(header) - 2) + [rec["error"]])
                 continue
             f0 = rec["fits"][0]
             ft = rec["fits"][k_true]
             rows.append(
-                [rep, rec["selected_k"] if rec["selected_k"] is not None else "",
-                 f0["T"], f0["p"], int(f0["accepted"]), ft["T"], ft["p"], int(ft["accepted"])]
-                + [v for v in ft["H_ols"]] + [v for v in ft["H_fgls"]]
-                + [v for v in ft["omegas"]] + [""]
+                [rec["stream"], rec["selected_k"] if rec["selected_k"] is not None else "",
+                 f0.t_stat, f0.p_value, int(f0.accepted), ft.t_stat, ft.p_value, int(ft.accepted)]
+                + [s.hurst for s in ft.segments_ols] + [s.hurst for s in ft.segments]
+                + ft.omegas.tolist() + [""]
             )
         _write_csv(args.raw, header, rows)
     done = stats.get("completed", 0)

@@ -91,8 +91,10 @@ class SegmentEstimate:
 class FitResult:
     """Outcome of fitting a k-change model to one spectrum.
 
-    `spectrum` is the WaveletSpectrum the model was fitted to; it is left out
-    of to_dict, repr and comparisons.
+    `spectrum` is the WaveletSpectrum the model was fitted to. `rejected`
+    holds the fits select_k made at K = 0 .. k-1 before this one, none of them
+    accepted; a bare fit_fixed_k leaves it empty. Both are left out of
+    to_dict, repr and comparisons.
     """
 
     k: int
@@ -107,6 +109,7 @@ class FitResult:
     level: float
     r: float
     spectrum: WaveletSpectrum = field(repr=False, compare=False)
+    rejected: tuple = field(default=(), repr=False, compare=False)
 
     def to_dict(self):
         return {
@@ -295,7 +298,9 @@ def fit_fixed_k(spec: WaveletSpectrum, w: BandWavelet, k: int, m: int = 5,
     OLS, covariance, FGLS and the goodness-of-fit statistic.
 
     Segmentation admits only segments with room for the m refine points
-    (m + 1 regression indices)."""
+    (m + 1 regression indices). The test level must lie in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"test level must lie in (0, 1), got {level}")
     grid = spec.grid
     seg = minimize_q(spec.y, grid, k, min_points=m + 1)
     omegas = omega_hat(grid, seg.t)
@@ -325,7 +330,8 @@ def select_k(path: SampledPath, w: BandWavelet, f_min: float, f_max: float,
     """Recursive model-order selection: fit k = 0, 1, ... and stop at the first
     k whose goodness-of-fit test accepts at the given level.
 
-    Returns the first accepted fit, or the k_max fit flagged as not accepted.
+    Returns the first accepted fit, or the k_max fit flagged as not accepted;
+    either way its `rejected` holds the fits at the smaller K.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -334,12 +340,12 @@ def select_k(path: SampledPath, w: BandWavelet, f_min: float, f_max: float,
         spec = spectrum(path, w, grid, r=r)
     except MfbmError as e:
         raise type(e)(f"[spectrum] {e}") from e
-    result = None
+    fits = []
     for k in range(k_max + 1):
         try:
-            result = fit_fixed_k(spec, w, k, m=m, level=level)
+            fits.append(fit_fixed_k(spec, w, k, m=m, level=level))
         except MfbmError as e:
             raise type(e)(f"[K={k}] {e}") from e
-        if result.accepted:
-            return result
-    return result
+        if fits[-1].accepted:
+            break
+    return replace(fits[-1], rejected=tuple(fits[:-1]))

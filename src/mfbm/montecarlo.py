@@ -2,24 +2,25 @@
 
 Each replication r of a run draws its path from stream r of the run seed,
 so results are identical whether replications execute sequentially or on a
-worker pool. Per-replication failures are recorded and counted, never fatal.
+worker pool. Each path runs through select_k, the selection `mfbm fit`
+runs, and keeps the FitResults it made. Per-replication failures are
+recorded and counted, never fatal.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import kolmogorov
 
-from .changepoint import build_grid
 from .errors import ConfigError, MfbmError
-from .inference import chi2_cdf, fit_fixed_k
+from .inference import chi2_cdf, fit_fixed_k, select_k
 from .model import ModelSpec, SampledPath
 from .simulate import PathSampler
-from .wavelet import BandWavelet, spectrum
+from .wavelet import BandWavelet
 
 __all__ = ["ks_statistic", "ReplicationStudy", "StudyResult", "run_study"]
 
@@ -86,13 +87,25 @@ class ReplicationStudy:
 
 @dataclass
 class StudyResult:
+    """The records of one cell, one per replication in stream order.
+
+    A completed replication is {"stream", "fits", "selected_k"}: `fits[K]` is
+    the FitResult at K for K = 0 up to the larger of the order select_k
+    stopped at and the true order, and `selected_k` is the accepted K, or
+    None when no K up to k_max was accepted. A failed replication is
+    {"stream", "error"}.
+    """
+
     study: ReplicationStudy
     records: list
-    failures: list = field(default_factory=list)
 
     @property
     def ok(self):
-        return [r for r in self.records if r is not None]
+        return [r for r in self.records if "error" not in r]
+
+    @property
+    def failures(self):
+        return [r for r in self.records if "error" in r]
 
     def stats(self) -> dict:
         """Parameter means/sds at the true order, pooled test statistics with
@@ -107,18 +120,19 @@ class StudyResult:
         }
         if not ok:
             return out
-        h_fgls = np.array([r["fits"][k_true]["H_fgls"] for r in ok])
-        h_ols = np.array([r["fits"][k_true]["H_ols"] for r in ok])
+        at_true = [r["fits"][k_true] for r in ok]
+        h_fgls = np.array([[s.hurst for s in f.segments] for f in at_true])
+        h_ols = np.array([[s.hurst for s in f.segments_ols] for f in at_true])
         out["H_fgls_mean"] = h_fgls.mean(axis=0).tolist()
         out["H_fgls_sd"] = h_fgls.std(axis=0, ddof=1).tolist()
         out["H_ols_mean"] = h_ols.mean(axis=0).tolist()
         out["H_ols_sd"] = h_ols.std(axis=0, ddof=1).tolist()
         if k_true > 0:
-            om = np.array([r["fits"][k_true]["omegas"] for r in ok])
+            om = np.array([f.omegas for f in at_true])
             out["omega_mean"] = om.mean(axis=0).tolist()
             out["omega_sd"] = om.std(axis=0, ddof=1).tolist()
-        t_true = np.array([r["fits"][k_true]["T"] for r in ok])
-        dof = ok[0]["fits"][k_true]["dof"]
+        t_true = np.array([f.t_stat for f in at_true])
+        dof = at_true[0].dof
         out["T_samples"] = t_true.tolist()
         out["T_dof"] = dof
         if t_true.size >= 5:
@@ -127,53 +141,38 @@ class StudyResult:
             out["ks_p"] = p
         else:
             out["ks_D"] = out["ks_p"] = None
-        out["reject_k0_rate"] = float(np.mean([not r["fits"][0]["accepted"] for r in ok]))
-        out["accept_ktrue_rate"] = float(np.mean([r["fits"][k_true]["accepted"] for r in ok]))
+        out["reject_k0_rate"] = float(np.mean([not r["fits"][0].accepted for r in ok]))
+        out["accept_ktrue_rate"] = float(np.mean([f.accepted for f in at_true]))
         out["selected_k"] = [r["selected_k"] for r in ok]
         return out
 
 
 def _replicate(args) -> dict:
-    """Worker body: analyze one already-simulated path."""
+    """Worker body: select K on one already-simulated path, then fit each K
+    up to the true order that selection stopped short of."""
     values, study, stream = args
     w = study.wavelet()
     path = SampledPath(delta=study.delta, values=values)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        grid = build_grid(path.n, path.delta, study.f_min, study.f_max, w)
-        spec = spectrum(path, w, grid, r=study.r)
-        k_top = max(study.k_max, study.model.k)
-        fits = {}
-        selected = None
-        for k in range(k_top + 1):
-            fit = fit_fixed_k(spec, w, k, m=study.m, level=study.level)
-            fits[k] = {
-                "T": fit.t_stat,
-                "dof": fit.dof,
-                "p": fit.p_value,
-                "accepted": fit.accepted,
-                "H_fgls": [s.hurst for s in fit.segments],
-                "H_ols": [s.hurst for s in fit.segments_ols],
-                "sigma2_fgls": [s.sigma2 for s in fit.segments],
-                "omegas": [float(v) for v in fit.omegas],
-                "clamped": any(s.clamped for s in fit.segments),
-            }
-            if selected is None and fit.accepted and k <= study.k_max:
-                selected = k
-            if k >= study.model.k and selected is not None:
-                break
-    return {"stream": stream, "fits": fits, "selected_k": selected}
+        fit = select_k(path, w, study.f_min, study.f_max, study.m, study.r, study.level,
+                       study.k_max)
+        fits = [*fit.rejected, fit]
+        fits += [fit_fixed_k(fit.spectrum, w, k, m=study.m, level=study.level)
+                 for k in range(len(fits), study.model.k + 1)]
+    return {"stream": stream, "fits": fits, "selected_k": fit.k if fit.accepted else None}
 
 
-def _replicate_safe(args):
+def _replicate_safe(args) -> dict:
     try:
-        return _replicate(args), None
+        return _replicate(args)
     except MfbmError as e:
-        return None, f"{type(e).__name__}: {e}"
+        return {"stream": args[2], "error": f"{type(e).__name__}: {e}"}
 
 
 def run_study(study: ReplicationStudy, workers: int = 1) -> StudyResult:
-    """Simulate and analyze all replications of one cell.
+    """Simulate all replications of one cell and run each path through
+    select_k; StudyResult describes the records.
 
     Paths are drawn in the parent process (one circulant embedding per cell);
     the analyses fan out to `workers` processes when workers > 1.
@@ -183,15 +182,9 @@ def run_study(study: ReplicationStudy, workers: int = 1) -> StudyResult:
     sampler = PathSampler(study.model, study.n, study.delta)
     jobs = [(sampler.draw(study.seed, stream=rep).values, study, rep)
             for rep in range(study.replications)]
-    records: list = [None] * study.replications
-    failures = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_replicate_safe, jobs))
+            records = list(pool.map(_replicate_safe, jobs))
     else:
-        outcomes = [_replicate_safe(job) for job in jobs]
-    for rep, (rec, err) in enumerate(outcomes):
-        records[rep] = rec
-        if err is not None:
-            failures.append({"stream": rep, "error": err})
-    return StudyResult(study=study, records=records, failures=failures)
+        records = [_replicate_safe(job) for job in jobs]
+    return StudyResult(study=study, records=records)

@@ -1,6 +1,7 @@
 """Command-line interface: file formats, exit codes, config layering, and
 byte-level reproducibility."""
 
+import csv
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ import mfbm.cli as cli
 import mfbm.inference as inference
 from mfbm import ModelSpec, PathSampler
 from mfbm.cli import _load_config_args, main
+from mfbm.errors import SegmentTooShortError
 
 from oracles import write_csv_loop
 
@@ -186,6 +188,15 @@ class TestFit:
         report = json.loads((tmp_path / "fit.json").read_text())
         assert report["accepted"] is False
 
+    @pytest.mark.parametrize("level", ["1.5", "0"])
+    def test_level_outside_unit_interval_exit_2(self, sim_path, tmp_path, capsys, level):
+        out = tmp_path / "fit.json"
+        rc = run(["fit", "--input", sim_path, "--f-min", "0.5", "--f-max", "16",
+                  "--level", level, "--out", out])
+        assert rc == 2
+        assert "level" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_layering(self, sim_path, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("f_min = 0.5\nf_max = 16\nm = 5\nlevel = 0.05\n# comment\n")
@@ -249,6 +260,10 @@ class TestFit:
         assert len(calls) == 1
 
 
+MC_ARGV = ["montecarlo", "--hurst", "0.5", "--sigma2", "1", "--n", "1200", "--delta", "0.03",
+           "--f-min", "0.5", "--f-max", "16", "--seed", "4"]
+
+
 class TestMontecarlo:
     def test_small_table(self, tmp_path):
         out = tmp_path / "table.json"
@@ -270,3 +285,50 @@ class TestMontecarlo:
                   "--delta", "0.03", "--f-min", "0.5", "--f-max", "16",
                   "--replications", "0", "--out", tmp_path / "t.json"])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, value, name", [("--level", "1.5", "level"),
+                                                    ("--k-max", "-1", "k_max")])
+    def test_bad_analysis_setting_exit_2(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "t.json"
+        rc = run(MC_ARGV + ["--replications", "2", flag, value, "--out", out])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_write_the_same_files(self, tmp_path):
+        """Replication r uses stream r whatever the pool: the raw rows are the
+        same bytes, and the tables differ only in the echoed worker count."""
+        tables = []
+        for workers in (1, 2):
+            out, raw = tmp_path / f"t{workers}.json", tmp_path / f"r{workers}.csv"
+            assert run(MC_ARGV + ["--replications", "3", "--workers", workers,
+                                  "--out", out, "--raw", raw]) == 0
+            tables.append(json.loads(out.read_text()))
+        assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+        assert [t["config"].pop("workers") for t in tables] == [1, 2]
+        assert tables[0] == tables[1]
+
+    def test_failed_replication_row(self, tmp_path, monkeypatch):
+        """A replication whose fit fails is counted, and its raw row holds only
+        the stream and the error; the other rows are those of a clean run."""
+        argv = MC_ARGV + ["--replications", "3", "--workers", "1"]
+        assert run(argv + ["--out", tmp_path / "a.json", "--raw", tmp_path / "a.csv"]) == 0
+        fit_fixed_k = inference.fit_fixed_k
+        k0_calls = []
+
+        def fail_second_k0(spec, w, k, **kwargs):
+            if k == 0:
+                k0_calls.append(k)
+                if len(k0_calls) == 2:
+                    raise SegmentTooShortError("forced")
+            return fit_fixed_k(spec, w, k, **kwargs)
+
+        monkeypatch.setattr(inference, "fit_fixed_k", fail_second_k0)
+        assert run(argv + ["--out", tmp_path / "b.json", "--raw", tmp_path / "b.csv"]) == 0
+        stats = json.loads((tmp_path / "b.json").read_text())["stats"]
+        assert (stats["failures"], stats["completed"]) == (1, 2)
+        clean, failed = (list(csv.reader((tmp_path / name).read_text().splitlines()))
+                         for name in ("a.csv", "b.csv"))
+        assert failed[2] == ["1"] + [""] * (len(clean[0]) - 2) + [
+            "SegmentTooShortError: [K=0] forced"]
+        assert failed[:2] + failed[3:] == clean[:2] + clean[3:]

@@ -9,6 +9,8 @@ from scipy.signal import czt
 import mpmath
 
 from mfbm import (
+    ModelSpec,
+    PathSampler,
     SampledPath,
     build_grid,
     minimize_q,
@@ -261,6 +263,18 @@ class TestSelection:
         # the fitted spectrum rides along but stays out of the report and repr
         assert fit.spectrum.y.size == fit.spectrum.grid.f.size
         assert "spectrum" not in d and "spectrum=" not in repr(fit)
+
+    def test_rejected_fits_ride_along(self, bump):
+        """On a two-regime path K = 0 is rejected; select_k keeps that fit next
+        to the one it returns, out of the report and repr."""
+        model = ModelSpec(hurst=(0.2, 0.7), sigma=(np.sqrt(10.0), np.sqrt(5.0)), omega=(5.0,))
+        path = PathSampler(model, 3000, 0.03).draw(2)
+        fit = select_k(path, bump, f_min=0.8, f_max=16.0, k_max=1)
+        assert fit.k == 1
+        assert [f.k for f in fit.rejected] == list(range(fit.k))
+        assert not any(f.accepted for f in fit.rejected)
+        assert all(f.spectrum is fit.spectrum for f in fit.rejected)
+        assert "rejected" not in fit.to_dict() and "rejected=" not in repr(fit)
 
     def test_lambda_covariances_reported(self, bump, fbm06_paths):
         """Both line-estimator covariances ship with the fit, and the

@@ -54,3 +54,11 @@ def test_every_private_function_is_referenced():
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
             and node.name not in names]
     assert not dead, f"private functions nothing references: {dead}"
+
+
+def test_montecarlo_runs_the_library_selection():
+    """Replications go through select_k: the harness builds no grid and no
+    spectrum of its own."""
+    imported = {name for name, _ in bound_imports(parse(SRC / "montecarlo.py"))}
+    assert "select_k" in imported
+    assert not imported & {"build_grid", "spectrum"}

@@ -83,8 +83,9 @@ class TestRunStudy:
         seq = run_study(tiny_study, workers=1)
         par = run_study(tiny_study, workers=2)
         for a, b in zip(seq.records, par.records):
-            assert a["fits"][0]["T"] == b["fits"][0]["T"]
-            assert a["fits"][0]["H_fgls"] == b["fits"][0]["H_fgls"]
+            assert a["fits"][0].t_stat == b["fits"][0].t_stat
+            assert ([s.hurst for s in a["fits"][0].segments]
+                    == [s.hurst for s in b["fits"][0].segments])
 
     def test_replication_floor(self):
         with pytest.raises(ConfigError, match="two replications"):
@@ -119,3 +120,16 @@ class TestRunStudy:
         assert "omega_mean" in stats
         assert stats["T_dof"] == 6
         assert len(stats["H_fgls_mean"]) == 2
+
+    def test_fits_reach_the_true_order_past_k_max(self):
+        """With k_max below the true order, selection stops at K = 0 and each
+        replication still carries the fit at the true order."""
+        study = ReplicationStudy(
+            model=ModelSpec(hurst=(0.2, 0.7), sigma=(np.sqrt(10), np.sqrt(5)), omega=(5.0,)),
+            n=2000, delta=0.03, f_min=0.8, f_max=16.0, k_max=0, seed=7, replications=2,
+        )
+        result = run_study(study)
+        assert len(result.ok) == 2
+        for rec in result.records:
+            assert [f.k for f in rec["fits"]] == [0, 1]
+            assert rec["selected_k"] == (0 if rec["fits"][0].accepted else None)
