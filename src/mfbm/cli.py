@@ -35,8 +35,7 @@ from .montecarlo import ReplicationStudy, make_wavelet, run_study
 from .simulate import PathSampler
 from .wavelet import spectrum
 
-DEFAULTS = {"wavelet": "bump", "alpha": 5.0, "beta": 10.0, "r": 0.1, "m": 5,
-            "level": 0.05, "k_max": 2}
+DEFAULTS = {"alpha": 5.0, "beta": 10.0, "r": 0.1, "m": 5, "level": 0.05, "k_max": 2}
 
 
 def _float_list(text):
@@ -47,9 +46,6 @@ def _float_list(text):
 
 
 def _add_wavelet_flags(p):
-    p.add_argument("--wavelet", default=DEFAULTS["wavelet"],
-                   choices=["bump", "meyer-shifted"],
-                   help="analyzing wavelet kind (default bump)")
     p.add_argument("--alpha", type=float, default=DEFAULTS["alpha"],
                    help="lower band edge for the bump wavelet (default 5)")
     p.add_argument("--beta", type=float, default=DEFAULTS["beta"],
@@ -228,12 +224,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-_ANALYSIS_KEYS = ("input", "delta", "f_min", "f_max", "r", "wavelet", "alpha", "beta")
+_ANALYSIS_KEYS = ("input", "delta", "f_min", "f_max", "r", "alpha", "beta")
 
 
 def _cmd_analyze(args) -> int:
     path = _read_path_csv(args.input, args.delta)
-    w = make_wavelet(args.wavelet, args.alpha, args.beta)
+    w = make_wavelet("bump", args.alpha, args.beta)
     grid = build_grid(path.n, path.delta, args.f_min, args.f_max, w)
     spec = spectrum(path, w, grid, r=args.r)
     rows = [(float(f), float(lf), float(y), int(c))
@@ -270,8 +266,7 @@ def _overlay_rows(fit):
 
 def _cmd_fit(args) -> int:
     path = _read_path_csv(args.input, args.delta)
-    w = make_wavelet(args.wavelet, args.alpha, args.beta)
-    args.alpha, args.beta = w.alpha, w.beta  # the config echo reports the band used
+    w = make_wavelet("bump", args.alpha, args.beta)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fit = select_k(path, w, f_min=args.f_min, f_max=args.f_max, m=args.m,
@@ -292,18 +287,17 @@ def _cmd_montecarlo(args) -> int:
     model = _model_from_args(args)
     study = ReplicationStudy(
         model=model, n=args.n, delta=args.delta, f_min=args.f_min, f_max=args.f_max,
-        wavelet_kind=args.wavelet, alpha=args.alpha, beta=args.beta, m=args.m,
+        alpha=args.alpha, beta=args.beta, m=args.m,
         r=args.r, level=args.level, k_max=args.k_max, seed=args.seed,
         replications=args.replications,
     )
-    args.alpha, args.beta = study.alpha, study.beta  # the config echo reports the band used
     result = run_study(study, workers=args.workers)
     stats = result.stats()
     table = {
         "command": "montecarlo",
         "config": _echo(args, ("hurst", "sigma2", "omega", "n", "delta", "f_min", "f_max",
-                               "r", "m", "level", "k_max", "wavelet",
-                               "alpha", "beta", "seed", "replications", "workers")),
+                               "r", "m", "level", "k_max", "alpha", "beta", "seed",
+                               "replications", "workers")),
         "stats": stats,
     }
     _write_json(args.out, table)

@@ -43,15 +43,15 @@ _WAVELET_CACHE: dict = {}
 
 
 def make_wavelet(kind: str, alpha: float = 5.0, beta: float = 10.0) -> BandWavelet:
-    """Process-local wavelet cache. A bump is keyed by its band; the Meyer
-    wavelet's band is always [pi, 2 pi], so it is keyed by kind alone and
-    alpha and beta are ignored for it."""
-    if kind not in ("bump", "meyer-shifted"):
-        raise ConfigError(f"unknown wavelet kind {kind!r} (use bump or meyer-shifted)")
-    key = (kind, float(alpha), float(beta)) if kind == "bump" else (kind,)
+    """Process-local cache of bump wavelets keyed by band, so every fit in a
+    process shares one wavelet's decay reach and spectrum plan. The bump is
+    the only kind; `kind` stays because perfbench/workloads.py warms this
+    cache with make_wavelet("bump", 5.0, 10.0) before timing `mfbm fit`."""
+    if kind != "bump":
+        raise ConfigError(f"unknown wavelet kind {kind!r} (the only kind is bump)")
+    key = (float(alpha), float(beta))
     if key not in _WAVELET_CACHE:
-        _WAVELET_CACHE[key] = (BandWavelet.bump(alpha, beta) if kind == "bump"
-                               else BandWavelet.meyer_shifted())
+        _WAVELET_CACHE[key] = BandWavelet.bump(alpha, beta)
     return _WAVELET_CACHE[key]
 
 
@@ -64,7 +64,6 @@ class ReplicationStudy:
     delta: float
     f_min: float
     f_max: float
-    wavelet_kind: str = "bump"
     alpha: float = 5.0
     beta: float = 10.0
     m: int = 5
@@ -77,12 +76,11 @@ class ReplicationStudy:
     def __post_init__(self):
         if self.replications < 2:
             raise ConfigError("need at least two replications")
-        w = self.wavelet()  # the study holds the band it analyses: Meyer's is always [pi, 2 pi]
-        object.__setattr__(self, "alpha", w.alpha)
-        object.__setattr__(self, "beta", w.beta)
+        object.__setattr__(self, "alpha", float(self.alpha))  # floats, as its wavelet holds them
+        object.__setattr__(self, "beta", float(self.beta))
 
     def wavelet(self) -> BandWavelet:
-        return make_wavelet(self.wavelet_kind, self.alpha, self.beta)
+        return make_wavelet("bump", self.alpha, self.beta)
 
 
 @dataclass

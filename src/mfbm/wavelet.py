@@ -85,7 +85,7 @@ def _band_integral(fn, lo: float, hi: float, what: str) -> float:
     """Integral of fn over [lo, hi] by composite Gauss-Legendre rules.
 
     fn must be vectorized and smooth on [lo, hi]; for the band integrands of
-    the built-in profiles the 4-panel rule agrees with its 2-panel check and
+    the bump on [5, 10] the 4-panel rule agrees with its 2-panel check and
     with adaptive integration to about 1e-12 relative, and is returned. Steep
     edges (a bump wider than about 7) need more panels: the count doubles
     until a rule agrees with the one before it to _GL_RTOL relative, and the
@@ -111,20 +111,13 @@ def _band_integral(fn, lo: float, hi: float, what: str) -> float:
     return fine
 
 
-def _meyer_nu(x):
-    """Smooth 0 -> 1 ramp with three vanishing derivatives at both ends."""
-    x = np.clip(x, 0.0, 1.0)
-    return x**4 * (35.0 - 84.0 * x + 70.0 * x**2 - 20.0 * x**3)
-
-
 class BandWavelet:
     """Analyzing wavelet with Fourier profile supported on [alpha, beta] in |xi|.
 
-    Construct via the classmethods: bump() for the exponential bump profile,
-    meyer_shifted() for the ramp/window profile on [pi, 2*pi], or the
-    constructor itself for any vectorized callable profile. The profile must
-    be smooth enough for the band rule (_band_integral) and for a time-domain
-    decay reach below _REACH_CAP.
+    Construct via bump() for the exponential bump profile, the analyzing
+    wavelet of the pipeline, or via the constructor itself for any vectorized
+    callable profile. The profile must be smooth enough for the band rule
+    (_band_integral) and for a time-domain decay reach below _REACH_CAP.
     """
 
     def __init__(self, alpha: float, beta: float, profile):
@@ -152,26 +145,6 @@ class BandWavelet:
             return out
 
         return cls(alpha, beta, profile)
-
-    @classmethod
-    def meyer_shifted(cls) -> "BandWavelet":
-        """Window profile on [pi, 2*pi] (band ratio 2) built from the standard
-        quartic ramp: sine quarter-wave up on [pi, 3*pi/2], cosine down after.
-        """
-        a, b = np.pi, 2.0 * np.pi
-        mid = 1.5 * np.pi
-        half = 0.5 * np.pi
-
-        def profile(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            up = (x >= a) & (x <= mid)
-            down = (x > mid) & (x <= b)
-            out[up] = np.sin(0.5 * np.pi * _meyer_nu((x[up] - a) / half))
-            out[down] = np.cos(0.5 * np.pi * _meyer_nu((x[down] - mid) / half))
-            return out
-
-        return cls(a, b, profile)
 
     # -- Fourier side --------------------------------------------------------
 

@@ -26,8 +26,15 @@ those sums. Tests compare the library against them.
 
 Quantities the pipeline never computes but the tests check it with live
 here too: the empirical variogram of a path, the segmentation criterion Q
-for given lines, and the limit frequencies of the refine points. The
-per-row CSV loop that mfbm.cli._write_csv replaced is write_csv_loop.
+for given lines, the limit frequencies of the refine points, and the
+spectrum a path would have if its empirical wavelet variances equalled
+their expectations (exact_spectrum). The per-row CSV loop that
+mfbm.cli._write_csv replaced is write_csv_loop.
+
+The library analyses with the bump profile only. meyer_shifted() is a
+second profile for the tests: a window on [pi, 2 pi] that is only C^3 at
+its band edges, so the band rule, the reach scan and the spectrum are
+also checked on a profile rougher than the bump.
 """
 
 import csv
@@ -44,11 +51,39 @@ from mfbm.model import _GL_NODES, _GL_WEIGHTS, _PANEL_MAX_LEN, _SERIES_CUT
 from mfbm.wavelet import (
     _REACH_CAP,
     _TAIL_TOL,
+    BandWavelet,
     WaveletSpectrum,
     _chirp_z,
     _profile_samples,
     _shift_range,
+    theoretical_variance,
 )
+
+
+def _meyer_nu(x):
+    """Smooth 0 -> 1 ramp with three vanishing derivatives at both ends."""
+    x = np.clip(x, 0.0, 1.0)
+    return x**4 * (35.0 - 84.0 * x + 70.0 * x**2 - 20.0 * x**3)
+
+
+def meyer_shifted():
+    """Window profile on [pi, 2*pi] (band ratio 2) built from the standard
+    quartic ramp: sine quarter-wave up on [pi, 3*pi/2], cosine down after.
+    """
+    a, b = np.pi, 2.0 * np.pi
+    mid = 1.5 * np.pi
+    half = 0.5 * np.pi
+
+    def profile(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        up = (x >= a) & (x <= mid)
+        down = (x > mid) & (x <= b)
+        out[up] = np.sin(0.5 * np.pi * _meyer_nu((x[up] - a) / half))
+        out[down] = np.cos(0.5 * np.pi * _meyer_nu((x[down] - mid) / half))
+        return out
+
+    return BandWavelet(a, b, profile)
 
 
 def cum_panels_loop(h, xs):
@@ -409,6 +444,15 @@ def per_scale_spectrum_reference(path, w, grid, r=0.1):
                 f"zero wavelet energy at frequency {f:.6g}; the path carries no signal there"
             )
         y[i] = np.log(j)
+    return WaveletSpectrum(grid=grid, y=y, r=r, counts=counts)
+
+
+def exact_spectrum(model, w, grid, r=0.1):
+    """The spectrum with every empirical wavelet variance replaced by its
+    expectation: Y = log theoretical_variance(model, w, 1/f) at each grid
+    frequency, with the shift counts of mfbm.wavelet.spectrum."""
+    y = np.log([theoretical_variance(model, w, 1.0 / f) for f in grid.f])
+    counts = np.array([m1 - m0 + 1 for m0, m1 in (_shift_range(grid.n, 1.0 / f, r) for f in grid.f)])
     return WaveletSpectrum(grid=grid, y=y, r=r, counts=counts)
 
 

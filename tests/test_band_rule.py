@@ -1,8 +1,9 @@
 """The fixed Gauss-Legendre band rule against adaptive-quadrature oracles:
 psi(0), the normalizing constant, the wavelet variance and the covariance
-kernel entries, for both built-in wavelets, and psi(0) and the normalizing
-constant over bump widths whose steep edges need more than the first rule,
-and the underflow guard for bumps too narrow for double precision."""
+kernel entries, for the bump and the oracles' Meyer window, and psi(0) and
+the normalizing constant over bump widths whose steep edges need more than
+the first rule, and the underflow guard for bumps too narrow for double
+precision."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mfbm.errors import NumericError
 from mfbm.inference import _sigma_entry
 from mfbm.wavelet import BandWavelet
 
-from oracles import k_const_quad, psi0_quad, sigma_entry_quad, theoretical_variance_quad
+from oracles import k_const_quad, meyer_shifted, psi0_quad, sigma_entry_quad, theoretical_variance_quad
 
 HURSTS = (0.05, 0.2, 0.5, 0.7, 0.95)
 RATIOS = np.linspace(1.0, 1.9, 7)
@@ -25,7 +26,7 @@ FIG3 = ModelSpec(hurst=(0.9, 0.2, 0.5), sigma=(5.0, 5.0, 5.0), omega=(0.05, 0.5)
 
 @pytest.fixture(params=["bump", "meyer-shifted"], scope="module")
 def wavelet(request):
-    return BandWavelet.bump(5.0, 10.0) if request.param == "bump" else BandWavelet.meyer_shifted()
+    return BandWavelet.bump(5.0, 10.0) if request.param == "bump" else meyer_shifted()
 
 
 def test_psi0(wavelet):

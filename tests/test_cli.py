@@ -1,8 +1,11 @@
 """Command-line interface: file formats, exit codes, config layering, and
 byte-level reproducibility."""
 
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +13,9 @@ import pytest
 import mfbm.cli as cli
 import mfbm.inference as inference
 from mfbm import ModelSpec, PathSampler
-from mfbm.cli import _load_config_args, main
+from mfbm.cli import _build_parser, _load_config_args, main
 from mfbm.errors import SegmentTooShortError
+from mfbm.montecarlo import make_wavelet
 
 from oracles import write_csv_loop
 
@@ -119,6 +123,13 @@ class TestAnalyze:
                   "--out", tmp_path / "s.csv"])
         assert rc == 2
 
+    @pytest.mark.parametrize("rel, rc", [(1e-8, 2), (1e-10, 0)])
+    def test_delta_checked_against_time_column(self, sim_path, tmp_path, capsys, rel, rc):
+        """--delta must match the time column's step 0.03 to 1e-9 relative."""
+        assert run(["analyze", "--input", sim_path, "--delta", repr(0.03 * (1.0 + rel)),
+                    "--f-min", "0.5", "--f-max", "16", "--out", tmp_path / "s.csv"]) == rc
+        assert ("contradicts" in capsys.readouterr().err) == (rc == 2)
+
     def test_missing_file_exit_2(self, tmp_path):
         rc = run(["analyze", "--input", tmp_path / "nope.csv", "--f-min", "0.5",
                   "--f-max", "12", "--out", tmp_path / "s.csv"])
@@ -164,17 +175,30 @@ class TestFit:
         err = capsys.readouterr().err
         assert "psi(0)" in err and "no signal" not in err
 
-    def test_meyer_reports_its_own_band(self, sim_path, tmp_path):
-        """The Meyer band is fixed at [pi, 2 pi]: --alpha/--beta do not change
-        the fit, and the report echoes the band actually used."""
-        argv = ["fit", "--input", sim_path, "--f-min", "0.5", "--f-max", "16",
-                "--wavelet", "meyer-shifted"]
-        plain, banded = tmp_path / "plain.json", tmp_path / "banded.json"
-        assert run(argv + ["--out", plain]) in (0, 3)
-        assert run(argv + ["--alpha", "8", "--beta", "16", "--out", banded]) in (0, 3)
-        config = json.loads(banded.read_text())["config"]
-        assert (config["alpha"], config["beta"]) == (np.pi, 2.0 * np.pi)
-        assert banded.read_bytes() == plain.read_bytes()
+    def test_bump_is_the_only_wavelet(self, sim_path, tmp_path):
+        """There is no --wavelet flag, on the command line or in a config file."""
+        out = tmp_path / "fit.json"
+        argv = ["fit", "--input", sim_path, "--f-min", "0.5", "--f-max", "16", "--out", out]
+        assert run(argv + ["--wavelet", "meyer-shifted"]) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("wavelet = bump\n")
+        assert run(argv + ["--config", cfg]) == 2
+        assert not out.exists()
+
+    def test_fit_analyses_with_the_cached_wavelet(self, sim_path, tmp_path, monkeypatch):
+        """`fit` takes its wavelet from make_wavelet's cache, so warming
+        make_wavelet("bump", 5.0, 10.0) warms the wavelet the default fit uses."""
+        used = []
+
+        def recorded(path, w, **kwargs):
+            used.append(w)
+            return select_k(path, w, **kwargs)
+
+        select_k = cli.select_k
+        monkeypatch.setattr(cli, "select_k", recorded)
+        assert run(["fit", "--input", sim_path, "--f-min", "0.5", "--f-max", "16",
+                    "--out", tmp_path / "fit.json"]) == 0
+        assert len(used) == 1 and used[0] is make_wavelet("bump", 5.0, 10.0)
 
     def test_kmax_exhausted_exit_3(self, tmp_path):
         # two well-separated regimes, fitted with k_max = 0: K = 0 must reject
@@ -188,7 +212,7 @@ class TestFit:
         report = json.loads((tmp_path / "fit.json").read_text())
         assert report["accepted"] is False
 
-    @pytest.mark.parametrize("level", ["1.5", "0"])
+    @pytest.mark.parametrize("level", ["1.5", "0", "1"])
     def test_level_outside_unit_interval_exit_2(self, sim_path, tmp_path, capsys, level):
         out = tmp_path / "fit.json"
         rc = run(["fit", "--input", sim_path, "--f-min", "0.5", "--f-max", "16",
@@ -287,7 +311,8 @@ class TestMontecarlo:
         assert rc == 2
 
     @pytest.mark.parametrize("flag, value, name", [("--level", "1.5", "level"),
-                                                    ("--k-max", "-1", "k_max")])
+                                                    ("--k-max", "-1", "k_max"),
+                                                    ("--level", "1", "level")])
     def test_bad_analysis_setting_exit_2(self, tmp_path, capsys, flag, value, name):
         out = tmp_path / "t.json"
         rc = run(MC_ARGV + ["--replications", "2", flag, value, "--out", out])
@@ -332,3 +357,17 @@ class TestMontecarlo:
         assert failed[2] == ["1"] + [""] * (len(clean[0]) - 2) + [
             "SegmentTooShortError: [K=0] forced"]
         assert failed[:2] + failed[3:] == clean[:2] + clean[3:]
+
+
+def test_readme_names_every_flag():
+    """README.md names every option of every command, and every --flag it
+    names is an option (pip's --no-build-isolation aside)."""
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in (parser, *commands.choices.values())
+               for action in p._actions for opt in action.option_strings}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--?[a-z][a-z0-9-]*", readme))
+    assert not options - named, f"options README.md does not name: {sorted(options - named)}"
+    strays = {flag for flag in named if flag.startswith("--")} - options - {"--no-build-isolation"}
+    assert not strays, f"README.md names flags no command takes: {sorted(strays)}"

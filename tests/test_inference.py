@@ -26,9 +26,9 @@ from mfbm import (
 from mfbm import test_statistic as t_k_statistic
 from mfbm.errors import DegeneratePathError
 from mfbm.inference import H_CLAMP, _sigma_entry, chi2_cdf
-from mfbm.wavelet import WaveletSpectrum
+from mfbm.wavelet import BandWavelet, WaveletSpectrum
 
-from oracles import sigma_entry_oscillatory
+from oracles import exact_spectrum, meyer_shifted, sigma_entry_oscillatory
 
 
 class TestChi2:
@@ -238,6 +238,31 @@ class TestTestStatistic:
     def test_not_positive_definite_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             t_k_statistic([np.ones(3)], [np.diag([1.0, -1.0, 1.0])], 100, 0.5)
+
+
+# (model, f_min, f_max) at n = 6000, delta = 0.03
+EXACT_CELLS = {
+    "m1": (ModelSpec(hurst=(0.2, 0.7), sigma=(np.sqrt(10.0), np.sqrt(5.0)), omega=(5.0,)), 0.8, 16.0),
+    "three-regime": (ModelSpec(hurst=(0.3, 0.8, 0.4), sigma=(1.0, 2.0, 1.5), omega=(2.0, 6.0)),
+                     0.8, 16.0),
+    "fig3": (ModelSpec(hurst=(0.9, 0.2, 0.5), sigma=(5.0, 5.0, 5.0), omega=(0.05, 0.5)), 0.02, 2.0),
+}
+
+
+class TestExactSpectrum:
+    @pytest.mark.parametrize("make", [BandWavelet.bump, meyer_shifted], ids=["bump", "meyer-shifted"])
+    @pytest.mark.parametrize("cell", list(EXACT_CELLS))
+    def test_fit_at_true_k_recovers_the_model(self, make, cell):
+        """On the spectrum that equals its expectation, the fit at the true K
+        recovers every H and sigma^2 to 1e-9 relative, and T vanishes."""
+        model, f_min, f_max = EXACT_CELLS[cell]
+        w = make()
+        grid = build_grid(6000, 0.03, f_min, f_max, w)
+        fit = fit_fixed_k(exact_spectrum(model, w, grid, 0.1), w, model.k)
+        for segments in (fit.segments, fit.segments_ols):
+            assert [s.hurst for s in segments] == pytest.approx(model.hurst, rel=1e-9)
+            assert [s.sigma2 for s in segments] == pytest.approx(np.square(model.sigma), rel=1e-9)
+        assert fit.t_stat < 1e-20
 
 
 class TestSelection:

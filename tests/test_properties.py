@@ -16,7 +16,7 @@ from mfbm import (ModelSpec, PathSampler, SampledPath, build_grid, refine_points
 from mfbm.errors import AnalysisError
 from mfbm.wavelet import BandWavelet, _chirp_z
 
-from oracles import czt_reference, per_scale_spectrum_reference
+from oracles import czt_reference, meyer_shifted, per_scale_spectrum_reference
 
 FIT_KEYS = {"K", "breakpoints", "omegas", "segments", "segments_ols", "T_stat", "dof",
             "p_value", "accepted", "level", "r"}
@@ -123,7 +123,7 @@ def test_spectrum_matches_per_scale_reference(alpha, ratio, meyer, n, delta, shi
     that builds every coefficient, to 5e-9 in Y, on random wavelets, paths,
     grids and trimming fractions. f_min puts `shifts` times beta / n shifts
     at the largest scale; f_max = span f_min."""
-    w = BandWavelet.meyer_shifted() if meyer else BandWavelet.bump(alpha, alpha * ratio)
+    w = meyer_shifted() if meyer else BandWavelet.bump(alpha, alpha * ratio)
     f_min = shifts * w.beta / n
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # f_max / alpha may pass 1 / delta; both routes share it
