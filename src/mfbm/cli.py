@@ -59,6 +59,12 @@ def _add_band_flags(p):
                    help="shift trimming fraction in (0, 1/3) (default 0.1)")
 
 
+def _add_selection_flags(p):
+    p.add_argument("--m", type=int, default=DEFAULTS["m"], help="regression points per segment")
+    p.add_argument("--level", type=float, default=DEFAULTS["level"], help="test level")
+    p.add_argument("--k-max", type=int, default=DEFAULTS["k_max"], help="largest order tried")
+
+
 def _add_model_flags(p):
     p.add_argument("--hurst", type=_float_list, required=True,
                    help="comma-separated Hurst exponents, one per regime")
@@ -98,9 +104,7 @@ def _build_parser():
     p.add_argument("--delta", type=float, default=None)
     _add_band_flags(p)
     _add_wavelet_flags(p)
-    p.add_argument("--m", type=int, default=DEFAULTS["m"], help="regression points per segment")
-    p.add_argument("--level", type=float, default=DEFAULTS["level"], help="test level")
-    p.add_argument("--k-max", type=int, default=DEFAULTS["k_max"], help="largest order tried")
+    _add_selection_flags(p)
     p.add_argument("--out", required=True, help="report JSON")
     p.add_argument("--overlay", default=None, help="optional per-frequency overlay CSV")
 
@@ -110,9 +114,7 @@ def _build_parser():
     p.add_argument("--delta", type=float, required=True)
     _add_band_flags(p)
     _add_wavelet_flags(p)
-    p.add_argument("--m", type=int, default=DEFAULTS["m"])
-    p.add_argument("--level", type=float, default=DEFAULTS["level"])
-    p.add_argument("--k-max", type=int, default=DEFAULTS["k_max"])
+    _add_selection_flags(p)
     p.add_argument("--replications", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)

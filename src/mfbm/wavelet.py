@@ -19,12 +19,13 @@ largest of them, and each scale takes the lattice nodes inside its band.
 The mean square over the shifts is then exact algebra: the autocorrelation
 and self-convolution of the scale's samples, from one FFT and one inverse
 FFT, summed against Dirichlet kernels. Everything but the path's own
-transform (the lattices, each scale's node and shift ranges, its two
-Dirichlet kernels and its profile weights with the recentring twist, three
-floats and one complex per lattice node the scale uses) depends only on the
-grid, the wavelet, n, delta and r: the wavelet keeps that plan for its last
-spectrum and reuses it while those stay the same, so repeated spectra on one
-grid evaluate no kernel, profile sample or twist twice. The reach
+transform depends only on the wavelet, the grid (which carries n and delta;
+a path must match them) and r. That plan is one lattice per octave group and
+one record per scale: its node and shift ranges, its two Dirichlet kernels
+and its profile weights with the recentring twist, three floats and one
+complex per lattice node the scale uses. The wavelet keeps the plan of its
+last spectrum and reuses it while grid and r stay the same, so repeated
+spectra on one grid evaluate no kernel, profile sample or twist twice. The reach
 itself is found by scanning |psi| on a uniform time grid, which is one more
 chirp-z transform of profile samples: the library has a single route for
 Fourier sums.
@@ -313,14 +314,11 @@ def _dirichlet(x: np.ndarray, count: int) -> np.ndarray:
     return sign * np.divide(np.sin(count * half), den, out=limit, where=den != 0.0)
 
 
-def _scale_kernels(phase0: float, phase_step: float, m: int, count: int, out: np.ndarray) -> np.ndarray:
-    """The two Dirichlet kernels of a scale's mean square, written into `out`
-    (3 m - 2 entries): D(d phase_step) for d = 1..m-1, then
-    D(2 phase0 + s phase_step) for s = 0..2m-2."""
+def _scale_kernels(phase0: float, phase_step: float, m: int, count: int) -> np.ndarray:
+    """The two Dirichlet kernels of a scale's mean square (3 m - 2 entries):
+    D(d phase_step) for d = 1..m-1, then D(2 phase0 + s phase_step) for s = 0..2m-2."""
     steps = phase_step * np.arange(2 * m - 1)
-    out[: m - 1] = _dirichlet(steps[1:m], count)
-    out[m - 1 :] = _dirichlet(2.0 * phase0 + steps, count)
-    return out
+    return np.concatenate((_dirichlet(steps[1:m], count), _dirichlet(2.0 * phase0 + steps, count)))
 
 
 def _mean_square(v: np.ndarray, m0: int, m1: int, kernels: np.ndarray) -> float:
@@ -349,32 +347,22 @@ def _mean_square(v: np.ndarray, m0: int, m1: int, kernels: np.ndarray) -> float:
     return 0.5 * (modulus + conv @ kernels[m - 1 :]) / count
 
 
-@dataclass(frozen=True)
-class _Group:
-    """One zoom lattice lo + step q, q = 0..size-1, in omega = xi delta / a,
-    and its scales. A row ((grid index, q0, q1, m0, m1), kernels, weights)
-    gives the lattice nodes q0..q1 inside the scale's band, its retained shifts
+def _spectrum_plan(w: BandWavelet, grid: FrequencyGrid, r: float):
+    """The path-independent part of `spectrum` on a grid, built for the grid's
+    n and delta: a list of groups (lo, step, size, scales), one per octave of
+    scales. A group's zoom lattice is lo + step q, q = 0..size-1, in
+    omega = xi delta / a. Each of its scales is a record
+    (grid index, q0, m0, m1, kernels, weights): the lattice nodes
+    q0..q0 + weights.size - 1 inside the scale's band, its retained shifts
     m0..m1, its _scale_kernels (three floats per node) and its recentred
-    trapezoid weights (one complex per node): views into the group's one
-    `kernels` and one `weights` array."""
-
-    lo: float
-    step: float
-    size: int
-    rows: tuple
-    kernels: np.ndarray
-    weights: np.ndarray
-
-
-def _spectrum_plan(w: BandWavelet, grid: FrequencyGrid, n: int, delta: float, r: float):
-    """The path-independent part of `spectrum`: the zoom lattices of the grid's
-    octave groups and every scale's node range, shift range, Dirichlet kernels
-    and weights. The wavelet keeps the last plan it built, so repeated spectra
-    on one grid share it; any other grid, n, delta or r replaces it."""
-    key = (grid.f.tobytes(), n, delta, r)
+    trapezoid weights (one complex per node). The wavelet keeps the last plan
+    it built, so repeated spectra on one grid share it; any other grid or r
+    replaces it."""
+    key = (grid.f.tobytes(), grid.n, grid.delta, r)
     if w._plan is not None and w._plan[0] == key:
         return w._plan[1]
     w._plan = None  # free the old plan before building the new one
+    n, delta = grid.n, grid.delta
     # at scale a the kernel's images must lie n delta / a + reach + 16 apart in time:
     # a node spacing of at most 2 pi / (n + a pad) in omega = xi delta / a
     pad = (w.decay_reach() + 16.0) / delta
@@ -393,29 +381,23 @@ def _spectrum_plan(w: BandWavelet, grid: FrequencyGrid, n: int, delta: float, r:
         step = min(2.0 * np.pi / (n + a_hi * pad), (w.beta - w.alpha) * delta / (_MIN_SEGMENTS * a_hi))
         lo = w.alpha * delta / a_hi
         size = int((w.beta * delta / scales[group[-1]] - lo) / step) + 2
-        rows = []
+        records = []
         for i in group:
             a = scales[i]
             # every lattice node inside the band [alpha, beta] in xi = omega a / delta
             q0 = max(0, int(np.ceil((w.alpha * delta / a - lo) / step)))
             q1 = int(np.floor((w.beta * delta / a - lo) / step))
-            rows.append((int(i), q0, q1, *_shift_range(n, a, r)))
-        nodes = np.array([q1 - q0 + 1 for _, q0, q1, _, _ in rows])
-        kernels = np.empty(int(np.sum(3 * nodes - 2)))
-        weights = np.empty(int(np.sum(nodes)), dtype=complex)
-        kernel_views = np.split(kernels, np.cumsum(3 * nodes - 2)[:-1])
-        weight_views = np.split(weights, np.cumsum(nodes)[:-1])
-        for (i, q0, q1, m0, m1), kern, wts in zip(rows, kernel_views, weight_views):
-            a = scales[i]
+            m0, m1 = _shift_range(n, a, r)
             phases = a * (lo + step * np.arange(q0, q1 + 1))  # xi_q delta
-            _scale_kernels(phases[0], a * step, wts.size, m1 - m0 + 1, kern)
+            kernels = _scale_kernels(phases[0], a * step, phases.size, m1 - m0 + 1)
             # e_k = (delta / (pi sqrt(a))) Re sum_q v_q exp(i xi_q k delta), v_q = weight_q D_q,
             # with the trapezoid weight step a / delta at every node. Counted from the
             # centre c = (m0 + m1) / 2 of the shifts, the sums over k in _mean_square meet
             # real Dirichlet kernels once the weight carries the twist exp(i c xi_q delta)
-            twist = np.exp(0.5j * (m0 + m1) * (phases[0] + a * step * np.arange(wts.size)))
-            np.multiply((step * a / delta) * w.profile_values(phases / delta), twist, out=wts)
-        plan.append(_Group(lo, step, size, tuple(zip(rows, kernel_views, weight_views)), kernels, weights))
+            twist = np.exp(0.5j * (m0 + m1) * (phases[0] + a * step * np.arange(phases.size)))
+            weights = (step * a / delta) * w.profile_values(phases / delta) * twist
+            records.append((int(i), q0, m0, m1, kernels, weights))
+        plan.append((lo, step, size, records))
     w._plan = (key, plan)
     return plan
 
@@ -426,20 +408,22 @@ def spectrum(path: SampledPath, w: BandWavelet, grid: FrequencyGrid,
 
     At each f the coefficients e(1/f, k delta) are averaged over the retained
     shift range (trimming fraction r on both sides) and the log is taken.
+    The grid must have been built for the path's n and delta.
     """
     if not 0.0 < r < 1.0 / 3.0:
         raise ValueError("trimming fraction must lie in (0, 1/3)")
-    n = path.n
-    delta = path.delta
-    plan = _spectrum_plan(w, grid, n, delta, r)
+    if (path.n, path.delta) != (grid.n, grid.delta):
+        raise ValueError(f"the path has (n, delta) = ({path.n}, {path.delta}) but the grid "
+                         f"was built for ({grid.n}, {grid.delta}); build the grid from the path")
+    n, delta = grid.n, grid.delta
     xs = np.zeros(n)
     xs[1:] = path.values[: n - 1]  # X(0) = 0 occupies slot 0
     y = np.empty(grid.f.size)
     counts = np.empty(grid.f.size, dtype=int)
-    for g in plan:
-        d = _chirp_z(xs, g.size, g.step, g.lo)
-        for (i, q0, q1, m0, m1), kernels, weights in g.rows:
-            v = weights * d[q0 : q1 + 1]
+    for lo, step, size, scales in _spectrum_plan(w, grid, r):
+        d = _chirp_z(xs, size, step, lo)
+        for i, q0, m0, m1, kernels, weights in scales:
+            v = weights * d[q0 : q0 + weights.size]
             j = (delta / np.pi) ** 2 * grid.f[i] * _mean_square(v, m0, m1, kernels)
             counts[i] = m1 - m0 + 1
             if not np.isfinite(j) or j <= 0.0:

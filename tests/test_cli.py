@@ -3,6 +3,8 @@ byte-level reproducibility."""
 
 import argparse
 import csv
+import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -12,10 +14,10 @@ import pytest
 
 import mfbm.cli as cli
 import mfbm.inference as inference
-from mfbm import ModelSpec, PathSampler
+from mfbm import BandWavelet, ModelSpec, PathSampler, spectrum
 from mfbm.cli import _build_parser, _load_config_args, main
 from mfbm.errors import SegmentTooShortError
-from mfbm.montecarlo import make_wavelet
+from mfbm.montecarlo import ReplicationStudy, make_wavelet
 
 from oracles import write_csv_loop
 
@@ -371,3 +373,32 @@ def test_readme_names_every_flag():
     assert not options - named, f"options README.md does not name: {sorted(options - named)}"
     strays = {flag for flag in named if flag.startswith("--")} - options - {"--no-build-isolation"}
     assert not strays, f"README.md names flags no command takes: {sorted(strays)}"
+
+
+def test_analysis_defaults_agree():
+    """The analysis defaults are written out in cli.DEFAULTS, in the library's
+    entry points, in ReplicationStudy and in both wavelet constructors; every
+    copy, and what the fit and montecarlo parsers fill in, matches cli.DEFAULTS."""
+    def defaults(fn):
+        return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not p.empty}
+
+    every = tuple(cli.DEFAULTS)
+    fit_flags = _build_parser().parse_args(
+        ["fit", "--input", "p.csv", "--f-min", "1", "--f-max", "2", "--out", "o.json"])
+    montecarlo_flags = _build_parser().parse_args(
+        ["montecarlo", "--hurst", "0.5", "--sigma2", "1", "--n", "100", "--delta", "0.1",
+         "--f-min", "1", "--f-max", "2", "--replications", "2", "--out", "o.json"])
+    copies = [
+        ("select_k", defaults(inference.select_k), ("m", "r", "level", "k_max")),
+        ("fit_fixed_k", defaults(inference.fit_fixed_k), ("m", "level")),
+        ("spectrum", defaults(spectrum), ("r",)),
+        ("ReplicationStudy", {f.name: f.default for f in dataclasses.fields(ReplicationStudy)}, every),
+        ("BandWavelet.bump", defaults(BandWavelet.bump), ("alpha", "beta")),
+        ("make_wavelet", defaults(make_wavelet), ("alpha", "beta")),
+        ("fit flags", vars(fit_flags), every),
+        ("montecarlo flags", vars(montecarlo_flags), every),
+    ]
+    for where, values, names in copies:
+        got = {name: values[name] for name in names}
+        assert got == {name: cli.DEFAULTS[name] for name in names}, where

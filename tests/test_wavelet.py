@@ -250,6 +250,15 @@ class TestSpectrum:
         assert sp.counts[0] == 1
         assert np.all(sp.counts >= 1)
 
+    def test_grid_of_another_path_rejected(self, bump, fbm06_paths):
+        """A grid built for other (n, delta) would scale the spectrum wrongly, so
+        the path and the grid must agree on both."""
+        path = fbm06_paths[0]
+        for n, delta in [(3000, path.delta), (path.n, 0.02)]:
+            grid = build_grid(n, delta, 0.05, 20.0, bump)
+            with pytest.raises(ValueError, match=rf"\({path.n}, {path.delta}\).*\({n}, {delta}\)"):
+                spectrum(path, bump, grid)
+
     def test_trimming_fraction_domain(self, bump, small_path):
         grid = build_grid(small_path.n, small_path.delta, 0.6, 12.0, bump)
         for bad in (0.0, 1.0 / 3.0, 0.5):
@@ -292,7 +301,7 @@ class TestSpectrum:
         m0, m1 = _shift_range(path.n, a, 0.1)
         e = scale_coeffs_reference(path, bump, a, m0, m1, reach)
         phase0, phase_step, v = scale_samples_reference(path, bump, a, reach)
-        kernels = _scale_kernels(phase0, phase_step, v.size, m1 - m0 + 1, np.empty(3 * v.size - 2))
+        kernels = _scale_kernels(phase0, phase_step, v.size, m1 - m0 + 1)
         got = (path.delta / np.pi) ** 2 / a * _mean_square(recentred(v, phase0, phase_step, m0, m1),
                                                             m0, m1, kernels)
         want = float(np.mean(e * e))
@@ -307,7 +316,7 @@ class TestSpectrum:
         v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         k = np.arange(m0, m1 + 1)
         g = np.exp(1j * np.outer(k, phase0 + phase_step * np.arange(v.size))) @ v
-        kernels = _scale_kernels(phase0, phase_step, v.size, m1 - m0 + 1, np.empty(3 * v.size - 2))
+        kernels = _scale_kernels(phase0, phase_step, v.size, m1 - m0 + 1)
         got = _mean_square(recentred(v, phase0, phase_step, m0, m1), m0, m1, kernels)
         assert got == pytest.approx(np.mean(g.real**2), rel=1e-11, abs=0.0)
 
@@ -401,27 +410,46 @@ class TestPlan:
         exp_calls.clear()
         spectrum(fbm06_paths[1], w, grid)
         assert profile_calls == []
-        assert len(exp_calls) == 2 * len(wavelet._spectrum_plan(w, grid, 6000, 0.03, 0.1))
+        assert len(exp_calls) == 2 * len(wavelet._spectrum_plan(w, grid, 0.1))
 
     def test_kernel_bytes_bounded_by_nodes(self, fbm06_paths):
         """At most three float64 per lattice node a scale uses."""
-        plan, nodes = m1_plan_and_nodes(fbm06_paths[0])
-        assert sum(g.kernels.nbytes for g in plan) <= 24 * nodes
+        records, nodes = m1_records_and_nodes(fbm06_paths[0])
+        assert sum(kernels.nbytes for *_, kernels, _ in records) <= 24 * nodes
 
     def test_weight_bytes_bounded_by_nodes(self, fbm06_paths):
         """At most one complex128 per lattice node a scale uses."""
-        plan, nodes = m1_plan_and_nodes(fbm06_paths[0])
-        assert sum(g.weights.nbytes for g in plan) <= 16 * nodes
+        records, nodes = m1_records_and_nodes(fbm06_paths[0])
+        assert sum(weights.nbytes for *_, weights in records) <= 16 * nodes
+
+    @pytest.mark.parametrize("cell", ["m1-6000", "fbm-6000"])
+    def test_one_record_per_scale_inside_its_lattice_and_band(self, cell):
+        """Every grid index has exactly one scale record; its nodes lie on its
+        group's lattice and inside [alpha, beta] in xi, and its kernels hold
+        3 m - 2 entries for its m nodes."""
+        _, n, band = BENCH_GRIDS[cell]
+        w = BandWavelet.bump(5.0, 10.0)
+        grid = build_grid(n, 0.03, *band, w)
+        indices = []
+        for lo, step, size, scales in wavelet._spectrum_plan(w, grid, 0.1):
+            for i, q0, m0, m1, kernels, weights in scales:
+                indices.append(i)
+                assert 0 <= q0 and q0 + weights.size <= size
+                assert kernels.size == 3 * weights.size - 2
+                assert (m0, m1) == _shift_range(n, 1.0 / grid.f[i], 0.1)
+                xi = (lo + step * np.arange(q0, q0 + weights.size)) / (grid.f[i] * grid.delta)
+                assert w.alpha * (1.0 - 1e-12) <= xi[0] and xi[-1] <= w.beta * (1.0 + 1e-12)
+        assert sorted(indices) == list(range(grid.f.size))
 
 
-def m1_plan_and_nodes(path):
-    """The plan of a spectrum on the M1 benchmark grid, and the number of lattice
-    nodes its scales use."""
+def m1_records_and_nodes(path):
+    """The scale records of a spectrum's plan on the M1 benchmark grid, and the
+    number of lattice nodes they use."""
     w = BandWavelet.bump(5.0, 10.0)
     grid = build_grid(6000, 0.03, 0.8, 16.0, w)
     spectrum(path, w, grid)
-    plan = wavelet._spectrum_plan(w, grid, 6000, 0.03, 0.1)
-    return plan, sum(q1 - q0 + 1 for g in plan for (_, q0, q1, _, _), _, _ in g.rows)
+    records = [rec for *_, scales in wavelet._spectrum_plan(w, grid, 0.1) for rec in scales]
+    return records, sum(weights.size for *_, weights in records)
 
 
 class TestReach:
