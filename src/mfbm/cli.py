@@ -142,8 +142,8 @@ def _load_config_args(path):
 def _model_from_args(args) -> ModelSpec:
     if len(args.hurst) != len(args.sigma2):
         raise ConfigError(f"got {len(args.hurst)} Hurst values but {len(args.sigma2)} variances")
-    if any(v <= 0 for v in args.sigma2):
-        raise ConfigError("variances must be positive")
+    if not all(0.0 < v < np.inf for v in args.sigma2):
+        raise ConfigError("variances sigma2 must be positive and finite")
     try:
         return ModelSpec(hurst=args.hurst,
                          sigma=tuple(float(np.sqrt(v)) for v in args.sigma2),
@@ -154,25 +154,23 @@ def _model_from_args(args) -> ModelSpec:
 
 def _read_path_csv(path, delta_flag):
     """Accept a single value column or (time, value) rows; header optional."""
-    rows = []
     with open(path) as fh:
-        for line_no, line in enumerate(csv.reader(fh)):
-            if not line:
-                continue
-            try:
-                rows.append([float(v) for v in line])
-            except ValueError:
-                if line_no == 0:
-                    continue  # header
-                raise ConfigError(f"{path}: non-numeric data at line {line_no + 1}")
-    if not rows:
+        try:
+            np.array(fh.readline().split(","), dtype=float)
+            fh.seek(0)  # no header: the first line is data
+        except ValueError:
+            pass  # header
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns when no data rows follow
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError as e:
+            raise ConfigError(f"{path}: {e}") from e
+    if not data.size:
         raise ConfigError(f"{path}: no data rows")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ConfigError(f"{path}: inconsistent column count")
-    data = np.asarray(rows, dtype=float)
+    width = data.shape[1]
     values = data[:, -1]
-    if values.size and np.ptp(values) == 0.0:
+    if np.ptp(values) == 0.0:
         raise ConfigError(f"{path}: value column is constant; degenerate path carries no signal")
     if width == 1:
         if delta_flag is None:

@@ -172,33 +172,16 @@ def ols_estimate(y: np.ndarray, grid: FrequencyGrid, points, w: BandWavelet) -> 
 
 # --- asymptotic covariance of the log-spectrum ------------------------------
 
-def _sigma_entry(h: float, g_lo: float, g_hi: float, w: BandWavelet) -> float:
-    """integral over the line of F(u)^2 du, where F is the inverse-Fourier-type
-    transform of W(xi) = profile(xi/g_lo) profile(xi/g_hi) |xi|^(-2H-1)
-    (W even, so F is real and even).
-
-    Plancherel turns the double integral into a single smooth one:
-    int F(u)^2 du = 2 pi int W(xi)^2 dxi = 4 pi int_band W^2, with the band
-    [alpha g_hi, beta g_lo] (empty when the frequency ratio reaches
-    beta/alpha, making the entry exactly zero).
-    """
-    xi_lo = w.alpha * g_hi
-    xi_hi = w.beta * g_lo
-    if xi_hi <= xi_lo:
-        return 0.0
-    return 4.0 * np.pi * _band_integral(
-        lambda xi: (w.profile_values(xi / g_lo) * w.profile_values(xi / g_hi)) ** 2
-        * xi ** (-2.0 * (2.0 * h + 1.0)),
-        xi_lo, xi_hi, f"covariance kernel at frequencies ({g_lo:.4g}, {g_hi:.4g})",
-    )
-
-
 def sigma_matrix(hurst: float, freqs, w: BandWavelet, r: float) -> np.ndarray:
     """Asymptotic covariance matrix of the scaled log-spectrum at the given
     regression frequencies, for a regime with the given Hurst exponent,
     including the 1/(1-2r) trimming factor.
 
-    Entries for frequency pairs with ratio >= beta/alpha are exactly zero.
+    By Plancherel the u-integral of s_kl (module docstring) is
+    4 pi int W(xi)^2 dxi over the band [alpha g_l, beta g_k], g_k <= g_l, with
+    W(xi) = profile(xi/g_k) profile(xi/g_l) |xi|^(-2H-1). The band is empty,
+    and the entry exactly zero, when g_l / g_k >= beta/alpha; the bands of
+    all other pairs go through one stacked band-rule evaluation.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("Hurst exponent must lie in (0, 1)")
@@ -210,13 +193,16 @@ def sigma_matrix(hurst: float, freqs, w: BandWavelet, r: float) -> np.ndarray:
     m = g.size
     kh = k_const(w, hurst)
     pref = 2.0 / kh**2 / (1.0 - 2.0 * r)
+    i, j = np.triu_indices(m)
+    live = g[j] / g[i] < w.ratio
+    i, j = i[live], j[live]
+    core = 4.0 * np.pi * _band_integral(
+        lambda xi: (w.profile_values(xi / g[i, None]) * w.profile_values(xi / g[j, None])) ** 2
+        * xi ** (-2.0 * (2.0 * hurst + 1.0)),
+        w.alpha * g[j], w.beta * g[i], f"covariance kernel at H = {hurst:.6g}",
+    )
     out = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            if g[j] / g[i] >= w.ratio:
-                continue
-            core = _sigma_entry(hurst, g[i], g[j], w)
-            out[i, j] = out[j, i] = pref * (g[i] * g[j]) ** (2.0 * hurst) * core
+    out[i, j] = out[j, i] = pref * (g[i] * g[j]) ** (2.0 * hurst) * core
     return out
 
 

@@ -54,14 +54,14 @@ class ModelSpec:
                 f"need {k + 1} (hurst, sigma) pairs for {k} change frequencies, "
                 f"got {len(self.hurst)} and {len(self.sigma)}"
             )
-        if any(w <= 0 for w in self.omega):
-            raise ValueError("change frequencies must be positive")
+        if not all(0.0 < w < np.inf for w in self.omega):
+            raise ValueError("change frequencies omega must be positive and finite")
         if any(b <= a for a, b in zip(self.omega, self.omega[1:])):
             raise ValueError("change frequencies must be strictly ascending")
         if any(not 0.0 < h < 1.0 for h in self.hurst):
             raise ValueError("every Hurst exponent must lie in (0, 1)")
-        if any(s <= 0 for s in self.sigma):
-            raise ValueError("every scale parameter must be positive")
+        if not all(0.0 < s < np.inf for s in self.sigma):
+            raise ValueError("every scale parameter sigma must be positive and finite")
         for i in range(k):
             dh = self.hurst[i + 1] - self.hurst[i]
             ds = self.sigma[i + 1] - self.sigma[i]
@@ -116,8 +116,8 @@ class SampledPath:
             raise ValueError("need at least two samples")
         if not np.all(np.isfinite(vals)):
             raise ValueError("path contains non-finite samples")
-        if not self.delta > 0:
-            raise ValueError("sampling step must be positive")
+        if not 0.0 < self.delta < np.inf:
+            raise ValueError("sampling step delta must be positive and finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "delta", float(self.delta))
 

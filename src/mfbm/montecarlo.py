@@ -107,7 +107,8 @@ class StudyResult:
 
     def stats(self) -> dict:
         """Parameter means/sds at the true order, pooled test statistics with
-        their KS check, and selection tallies."""
+        their KS check, and selection tallies. The sds are None below two
+        completed replications, and the KS check below five."""
         k_true = self.study.model.k
         ok = self.ok
         out = {
@@ -118,17 +119,21 @@ class StudyResult:
         }
         if not ok:
             return out
+
+        def sd(x):
+            return x.std(axis=0, ddof=1).tolist() if len(x) > 1 else None
+
         at_true = [r["fits"][k_true] for r in ok]
         h_fgls = np.array([[s.hurst for s in f.segments] for f in at_true])
         h_ols = np.array([[s.hurst for s in f.segments_ols] for f in at_true])
         out["H_fgls_mean"] = h_fgls.mean(axis=0).tolist()
-        out["H_fgls_sd"] = h_fgls.std(axis=0, ddof=1).tolist()
+        out["H_fgls_sd"] = sd(h_fgls)
         out["H_ols_mean"] = h_ols.mean(axis=0).tolist()
-        out["H_ols_sd"] = h_ols.std(axis=0, ddof=1).tolist()
+        out["H_ols_sd"] = sd(h_ols)
         if k_true > 0:
             om = np.array([f.omegas for f in at_true])
             out["omega_mean"] = om.mean(axis=0).tolist()
-            out["omega_sd"] = om.std(axis=0, ddof=1).tolist()
+            out["omega_sd"] = sd(om)
         t_true = np.array([f.t_stat for f in at_true])
         dof = at_true[0].dof
         out["T_samples"] = t_true.tolist()

@@ -50,8 +50,8 @@ class PathSampler:
     def __init__(self, model: ModelSpec, n: int, delta: float):
         if n < 2:
             raise ValueError("need at least two samples")
-        if not delta > 0:
-            raise ValueError("sampling step must be positive")
+        if not 0.0 < delta < np.inf:
+            raise ValueError("sampling step delta must be positive and finite")
         self.model = model
         self.n = int(n)
         self.delta = float(delta)

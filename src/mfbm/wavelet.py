@@ -82,34 +82,44 @@ _GL_CHECK_X, _GL_CHECK_W = _unit_rule(_GL_PANELS // 2)
 _GL_ALL_X = np.concatenate((_GL_X, _GL_CHECK_X))
 
 
-def _band_integral(fn, lo: float, hi: float, what: str) -> float:
-    """Integral of fn over [lo, hi] by composite Gauss-Legendre rules.
+def _band_integral(fn, lo, hi, what: str) -> np.ndarray:
+    """Integrals of fn over the intervals [lo_i, hi_i] by composite
+    Gauss-Legendre rules; fn, vectorized and smooth on each interval, gets
+    the nodes of all of them at once, one row per interval.
 
-    fn must be vectorized and smooth on [lo, hi]; for the band integrands of
-    the bump on [5, 10] the 4-panel rule agrees with its 2-panel check and
-    with adaptive integration to about 1e-12 relative, and is returned. Steep
-    edges (a bump wider than about 7) need more panels: the count doubles
-    until a rule agrees with the one before it to _GL_RTOL relative, and the
-    finer of the two is returned. Raises NumericError naming `what` when no
-    pair agrees up to _GL_MAX_PANELS panels (a jump or kink inside the
-    interval).
+    For the band integrands of the bump on [5, 10] the 4-panel rule agrees
+    with its 2-panel check and with adaptive integration to about 1e-12
+    relative. Steep edges (a bump wider than about 7) need more panels: while
+    some row's pair disagrees the count doubles, and each row keeps the finer
+    value of its first pair that agrees to _GL_RTOL relative. Raises
+    NumericError naming `what` and the first interval whose pair does not
+    agree up to _GL_MAX_PANELS panels (a jump or kink inside it).
     """
+    lo, hi = np.atleast_1d(lo, hi)
     width = hi - lo
-    vals = np.asarray(fn(lo + width * _GL_ALL_X), dtype=float)
-    fine = width * float(vals[: _GL_X.size] @ _GL_W)
-    coarse = width * float(vals[_GL_X.size :] @ _GL_CHECK_W)
+    vals = np.asarray(fn(lo[:, None] + width[:, None] * _GL_ALL_X), dtype=float)
+    fine = width * (vals[:, : _GL_X.size] @ _GL_W)
+    coarse = width * (vals[:, _GL_X.size :] @ _GL_CHECK_W)
+    out = np.full(width.shape, np.nan)  # NaN until the row settles
     panels = _GL_PANELS
-    while not (np.isfinite(fine) and abs(fine - coarse) <= _GL_RTOL * abs(fine)):
-        if panels >= _GL_MAX_PANELS or not np.isfinite(fine):
+    while True:
+        todo = np.isnan(out)
+        settled = todo & np.isfinite(fine) & (np.abs(fine - coarse) <= _GL_RTOL * np.abs(fine))
+        out[settled] = fine[settled]
+        todo &= ~settled
+        if not todo.any():
+            return out
+        bad = todo if panels >= _GL_MAX_PANELS else todo & ~np.isfinite(fine)
+        if bad.any():
+            i = int(np.argmax(bad))
             raise NumericError(
-                f"{what}: band integral on [{lo:.6g}, {hi:.6g}] did not settle "
+                f"{what}: band integral on [{lo[i]:.6g}, {hi[i]:.6g}] did not settle "
                 f"({panels // 2}- and {panels}-panel Gauss-Legendre rules give "
-                f"{coarse:.10g} and {fine:.10g}); the profile is too rough for the band rule"
+                f"{coarse[i]:.10g} and {fine[i]:.10g}); the profile is too rough for the band rule"
             )
         panels *= 2
         x, wts = _unit_rule(panels)
-        coarse, fine = fine, width * float(np.asarray(fn(lo + width * x), dtype=float) @ wts)
-    return fine
+        coarse, fine = fine, width * (np.asarray(fn(lo[:, None] + width[:, None] * x), dtype=float) @ wts)
 
 
 class BandWavelet:
@@ -122,8 +132,8 @@ class BandWavelet:
     """
 
     def __init__(self, alpha: float, beta: float, profile):
-        if not 0 < alpha < beta:
-            raise ValueError("need 0 < alpha < beta")
+        if not 0 < alpha < beta < np.inf:
+            raise ValueError("band edges need 0 < alpha < beta < inf")
         self.alpha = float(alpha)
         self.beta = float(beta)
         self._profile = profile
@@ -165,7 +175,7 @@ class BandWavelet:
         """psi(0) = (1/pi) * integral of the profile; also max |psi|. Raises
         NumericError when psi(0)^2, and so every wavelet energy, underflows to 0."""
         if self._psi0 is None:
-            psi0 = _band_integral(self.profile_values, self.alpha, self.beta, "psi(0)") / np.pi
+            psi0 = _band_integral(self.profile_values, self.alpha, self.beta, "psi(0)")[0] / np.pi
             if psi0 * psi0 == 0.0:
                 raise NumericError(f"psi(0) = {psi0:.3g} on the band [{self.alpha:.6g}, {self.beta:.6g}] "
                                    "underflows when squared; widen the band")
@@ -252,7 +262,7 @@ def k_const(w: BandWavelet, hurst: float) -> float:
         raise ValueError("Hurst exponent must lie in (0, 1)")
     what = f"normalizing constant K_H at H = {hurst:.6g}"
     val = 2.0 * _band_integral(lambda u: w.profile_values(u) ** 2 * u ** (-2.0 * hurst - 1.0),
-                               w.alpha, w.beta, what)
+                               w.alpha, w.beta, what)[0]
     if val == 0.0:
         raise NumericError(f"{what} underflows to 0 on the band [{w.alpha:.6g}, {w.beta:.6g}]; "
                            "widen the band")
@@ -263,22 +273,19 @@ def theoretical_variance(model: ModelSpec, w: BandWavelet, a: float) -> float:
     """Variance of the wavelet coefficient at scale a:
     a * integral |profile(a u)|^2 * weight(u) du.
 
-    Inside a single regime this equals a^(2H+1) sigma^2 K_H exactly.
+    Inside a single regime this equals a^(2H+1) sigma^2 K_H exactly. One
+    stacked band-rule evaluation covers every regime the band meets at scale a.
     """
     if not a > 0:
         raise ValueError("scale must be positive")
     edges = model.band_edges
-    total = 0.0
-    for j in range(model.k + 1):
-        lo = max(w.alpha, a * edges[j])
-        hi = min(w.beta, a * edges[j + 1]) if np.isfinite(edges[j + 1]) else w.beta
-        if hi <= lo:
-            continue
-        h = model.hurst[j]
-        val = _band_integral(lambda v: w.profile_values(v) ** 2 * v ** (-2.0 * h - 1.0),
-                             lo, hi, f"wavelet variance at scale {a:.6g}")
-        total += 2.0 * model.sigma[j] ** 2 * a ** (2.0 * h + 1.0) * val
-    return total
+    lo = np.maximum(w.alpha, a * edges[:-1])
+    hi = np.minimum(w.beta, a * edges[1:])
+    live = hi > lo
+    h, sigma = np.array(model.hurst)[live], np.array(model.sigma)[live]
+    val = _band_integral(lambda v: w.profile_values(v) ** 2 * v ** (-2.0 * h[:, None] - 1.0),
+                         lo[live], hi[live], f"wavelet variance at scale {a:.6g}")
+    return float(np.sum(2.0 * sigma**2 * a ** (2.0 * h + 1.0) * val))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Slow reference implementations of what the library computes fast.
 
 The library evaluates every wavelet band integral with one fixed
-Gauss-Legendre rule (mfbm.wavelet._band_integral). The functions here
-compute the same quantities independently: adaptive scipy quadrature with
-tight tolerances for psi(0), the normalizing constant K_H, the wavelet
-variance and the covariance kernel entries, and the covariance kernel once
-more through its oscillatory double integral (no Plancherel step).
+Gauss-Legendre rule (mfbm.wavelet._band_integral), stacked over all the
+intervals of a quantity. The functions here compute the same quantities
+independently: adaptive scipy quadrature with tight tolerances for psi(0),
+the normalizing constant K_H, the wavelet variance and the covariance kernel
+entries, and the covariance kernel once more through its oscillatory double
+integral (no Plancherel step). The covariance matrix as a double loop with
+one band-rule call per entry, the route the stacked call replaced, is
+sigma_matrix_loop.
 
 The library's variogram builds the panel edges of its cumulative
 cos-power integral in one vectorized pass (mfbm.model._cum_panels); the
@@ -53,9 +56,11 @@ from mfbm.wavelet import (
     _TAIL_TOL,
     BandWavelet,
     WaveletSpectrum,
+    _band_integral,
     _chirp_z,
     _profile_samples,
     _shift_range,
+    k_const,
     theoretical_variance,
 )
 
@@ -151,6 +156,23 @@ def sigma_entry_quad(h, g_lo, g_hi, w):
         * xi ** (-2.0 * (2.0 * h + 1.0)),
         xi_lo, xi_hi,
     )
+
+
+def sigma_matrix_loop(hurst, freqs, w, r):
+    """mfbm.inference.sigma_matrix with one band-rule call per nonzero entry."""
+    g = np.asarray(freqs, dtype=float)
+    pref = 2.0 / k_const(w, hurst) ** 2 / (1.0 - 2.0 * r)
+    out = np.zeros((g.size, g.size))
+    for i in range(g.size):
+        for j in range(i, g.size):
+            if g[j] / g[i] >= w.ratio:
+                continue
+            core = 4.0 * np.pi * _band_integral(
+                lambda xi: (w.profile_values(xi / g[i]) * w.profile_values(xi / g[j])) ** 2
+                * xi ** (-2.0 * (2.0 * hurst + 1.0)),
+                w.alpha * g[j], w.beta * g[i], "covariance kernel")[0]
+            out[i, j] = out[j, i] = pref * (g[i] * g[j]) ** (2.0 * hurst) * core
+    return out
 
 
 _GL16_NODES, _GL16_WEIGHTS = leggauss(16)

@@ -138,6 +138,59 @@ class TestAnalyze:
         assert rc == 2
 
 
+READER_REJECTS = {
+    "non-numeric": "time,value\n0.1,1\n0.2,x\n0.3,3\n",
+    "ragged": "time,value\n0.1,1\n0.2,2,7\n0.3,3\n",
+    "empty": "",
+    "header-only": "time,value\n",
+    "constant": "time,value\n0.1,2\n0.2,2\n0.3,2\n",
+    "three-columns": "0.1,1,5\n0.2,2,6\n0.3,3,8\n",
+    "decreasing-times": "0.3,1\n0.2,2\n0.1,3\n",
+}
+
+
+class TestReadPath:
+    @pytest.mark.parametrize("text", READER_REJECTS.values(), ids=READER_REJECTS)
+    def test_bad_file_exit_2_names_it(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        rc = run(["analyze", "--input", bad, "--delta", "0.1", "--f-min", "0.5", "--f-max", "12",
+                  "--out", tmp_path / "s.csv"])
+        assert rc == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_header_and_blank_lines_optional(self, tmp_path):
+        body = "0.1,1.5\n0.2,-2.25\n\n0.3,3e-7\n0.4,0.1\n"
+        bare, headed = tmp_path / "bare.csv", tmp_path / "headed.csv"
+        bare.write_text(body)
+        headed.write_text("time,value\n" + body)
+        a, b = cli._read_path_csv(bare, None), cli._read_path_csv(headed, None)
+        assert a.delta == b.delta == pytest.approx(0.1, rel=1e-12)
+        assert a.values.tolist() == b.values.tolist() == [1.5, -2.25, 3e-7, 0.1]
+
+
+class TestNonFiniteInput:
+    """An infinite or NaN sampling step, change frequency, variance or band
+    edge is a configuration error that names the parameter."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "--hurst", "0.6", "--sigma2", "1", "--n", "100", "--delta", "inf"], "delta"),
+        (["simulate", "--hurst", "0.3,0.7", "--sigma2", "1,1", "--omega", "inf", "--n", "100",
+          "--delta", "0.03"], "omega"),
+        (["simulate", "--hurst", "0.6", "--sigma2", "nan", "--n", "100", "--delta", "0.03"], "sigma2"),
+        (["fit", "--delta", "inf", "--f-min", "0.5", "--f-max", "12"], "delta"),
+        (["fit", "--delta", "0.03", "--beta", "inf", "--f-min", "0.5", "--f-max", "12"], "beta"),
+    ], ids=["simulate-delta-inf", "simulate-omega-inf", "simulate-sigma2-nan", "fit-delta-inf",
+            "fit-beta-inf"])
+    def test_non_finite_parameter_exit_2(self, tmp_path, capsys, argv, name):
+        single = tmp_path / "single.csv"
+        single.write_text("\n".join(str(v) for v in np.sin(np.arange(400.0))) + "\n")
+        if argv[0] == "fit":
+            argv = argv + ["--input", single]
+        assert run(argv + ["--out", tmp_path / "out.csv"]) == 2
+        assert name in capsys.readouterr().err
+
+
 class TestFit:
     def test_report_fields_and_reproducibility(self, sim_path, tmp_path):
         out = tmp_path / "fit.json"

@@ -25,9 +25,10 @@ from mfbm import (
 )
 from mfbm import test_statistic as t_k_statistic
 from mfbm.errors import DegeneratePathError
-from mfbm.inference import H_CLAMP, _sigma_entry, chi2_cdf
+from mfbm.inference import H_CLAMP, chi2_cdf
 from mfbm.wavelet import BandWavelet, WaveletSpectrum
 
+from conftest import sigma_kernel
 from oracles import exact_spectrum, meyer_shifted, sigma_entry_oscillatory
 
 
@@ -100,7 +101,7 @@ class TestSigmaMatrix:
     def test_against_oscillatory_route(self, bump):
         # same integral through the truncated oscillatory double quadrature
         for h, glo, ghi in ((0.6, 1.0, 1.0), (0.3, 0.8, 1.1)):
-            a = _sigma_entry(h, glo, ghi, bump)
+            a = sigma_kernel(h, glo, ghi, bump)
             b = sigma_entry_oscillatory(h, glo, ghi, bump)
             assert a == pytest.approx(b, rel=1e-6)
 
@@ -112,7 +113,7 @@ class TestSigmaMatrix:
             g1 = float(rng.uniform(0.5, 1.5))
             g2 = g1 * float(rng.uniform(1.0, 1.6))
             want = _brute_force_entry(h, g1, g2, bump)
-            got = _sigma_entry(h, min(g1, g2), max(g1, g2), bump)
+            got = sigma_kernel(h, min(g1, g2), max(g1, g2), bump)
             assert got == pytest.approx(want, rel=1e-4)
 
     def test_scaling_law(self, bump):

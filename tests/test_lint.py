@@ -1,6 +1,7 @@
-"""Static checks on the library source: no unused imports, and no private
-module-level function that nothing in the library calls. A trim that leaves
-either behind fails here."""
+"""Static checks on the library source: no unused imports, no private
+module-level function that nothing in the library calls, and no import of
+scipy.integrate. A trim that leaves either of the first two behind fails
+here, and so does a second quadrature route beside the band rule."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,23 @@ def test_montecarlo_runs_the_library_selection():
     imported = {name for name, _ in bound_imports(parse(SRC / "montecarlo.py"))}
     assert "select_k" in imported
     assert not imported & {"build_grid", "spectrum"}
+
+
+def test_no_scipy_integrate():
+    """Every wavelet integral goes through the one band rule
+    (wavelet._band_integral): no module imports scipy.integrate or reaches it
+    as an attribute of scipy."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            if any(name == "scipy.integrate" or name.startswith("scipy.integrate.") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"scipy.integrate used at {found}"

@@ -1,12 +1,14 @@
 """Kolmogorov-Smirnov helper and the replication harness."""
 
+import json
+
 import numpy as np
 import pytest
 
 from mfbm import ModelSpec
 from mfbm.errors import ConfigError
 from mfbm.inference import chi2_cdf
-from mfbm.montecarlo import ReplicationStudy, ks_statistic, make_wavelet, run_study
+from mfbm.montecarlo import ReplicationStudy, StudyResult, ks_statistic, make_wavelet, run_study
 from mfbm.simulate import uniform_stream
 
 
@@ -59,6 +61,15 @@ def tiny_study():
     )
 
 
+@pytest.fixture(scope="module")
+def two_regime_result():
+    study = ReplicationStudy(
+        model=ModelSpec(hurst=(0.2, 0.7), sigma=(np.sqrt(10), np.sqrt(5)), omega=(5.0,)),
+        n=2000, delta=0.03, f_min=0.8, f_max=16.0, seed=7, replications=2,
+    )
+    return run_study(study)
+
+
 class TestRunStudy:
     def test_sequential_run_and_stats(self, tiny_study):
         result = run_study(tiny_study)
@@ -101,16 +112,22 @@ class TestRunStudy:
         assert (study.alpha, study.beta) == (w.alpha, w.beta) == want
         assert type(study.alpha) is float and type(study.beta) is float
 
-    def test_two_regime_selection_fields(self):
-        study = ReplicationStudy(
-            model=ModelSpec(hurst=(0.2, 0.7), sigma=(np.sqrt(10), np.sqrt(5)), omega=(5.0,)),
-            n=2000, delta=0.03, f_min=0.8, f_max=16.0, seed=7, replications=2,
-        )
-        stats = run_study(study).stats()
+    def test_two_regime_selection_fields(self, two_regime_result):
+        stats = two_regime_result.stats()
         assert stats["k_true"] == 1
         assert "omega_mean" in stats
         assert stats["T_dof"] == 6
         assert len(stats["H_fgls_mean"]) == 2
+
+    def test_one_completed_replication_is_strict_json(self, two_regime_result):
+        """With one replication completed and one failed, every sd is None
+        rather than NaN, so the table is strict JSON."""
+        ok = two_regime_result.records[0]
+        result = StudyResult(two_regime_result.study, [ok, {"stream": 1, "error": "forced"}])
+        stats = result.stats()
+        assert (stats["completed"], stats["failures"]) == (1, 1)
+        assert stats["H_fgls_sd"] is stats["H_ols_sd"] is stats["omega_sd"] is None
+        assert json.loads(json.dumps(stats, allow_nan=False)) == stats
 
     def test_fits_reach_the_true_order_past_k_max(self):
         """With k_max below the true order, selection stops at K = 0 and each
